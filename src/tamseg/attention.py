@@ -57,7 +57,6 @@ class FeatureStack:
     """Ordered per-frame feature maps, each (C, *spatial), sharing one shape."""
 
     frames: list[Tensor]
-    frame_times: list[float] | None = None
 
     def __post_init__(self):
         if len(self.frames) < 2:
@@ -67,8 +66,6 @@ class FeatureStack:
             if f.shape != shape:
                 raise ShapeError(f"frame {i} shape {f.shape} differs from frame 0 "
                                  f"shape {shape}")
-        if self.frame_times is not None and len(self.frame_times) != len(self.frames):
-            raise ValidationError("frame_times length must match frame count")
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -304,4 +301,4 @@ def tam_forward(stack: FeatureStack, params: TamParams,
             pair_sum = fused if pair_sum is None else pair_sum + fused
         avg = scale(pair_sum, 1.0 / (t - 1))
         refined.append(conv_nd(avg, params.w_o))
-    return FeatureStack(frames=refined, frame_times=stack.frame_times)
+    return FeatureStack(frames=refined)

@@ -113,20 +113,30 @@ def _boundaries(a: SegmentationMask, b: SegmentationMask,
     return boundary_mask(ra), boundary_mask(rb)
 
 
+def _surface_distances(a: SegmentationMask, b: SegmentationMask,
+                      label: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directed boundary distances of one label in mm, a to b and b to a."""
+    ba, bb = _boundaries(a, b, label)
+    return (directed_surface_distances(ba, bb, a.spacing),
+            directed_surface_distances(bb, ba, a.spacing))
+
+
+def _hausdorff(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
+    return float(max(d_ab.max(), d_ba.max()))
+
+
+def _masd(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
+    return float(0.5 * (d_ab.mean() + d_ba.mean()))
+
+
 def hausdorff(a: SegmentationMask, b: SegmentationMask, label: int) -> float:
     """Symmetric maximum surface distance in mm (exact, no percentile trim)."""
-    ba, bb = _boundaries(a, b, label)
-    d_ab = directed_surface_distances(ba, bb, a.spacing)
-    d_ba = directed_surface_distances(bb, ba, a.spacing)
-    return float(max(d_ab.max(), d_ba.max()))
+    return _hausdorff(*_surface_distances(a, b, label))
 
 
 def masd(a: SegmentationMask, b: SegmentationMask, label: int) -> float:
     """Mean of the two directed average surface distances, in mm."""
-    ba, bb = _boundaries(a, b, label)
-    d_ab = directed_surface_distances(ba, bb, a.spacing)
-    d_ba = directed_surface_distances(bb, ba, a.spacing)
-    return float(0.5 * (d_ab.mean() + d_ba.mean()))
+    return _masd(*_surface_distances(a, b, label))
 
 
 # -- reporting ----------------------------------------------------------------
@@ -155,10 +165,12 @@ class MetricReport:
             row = MetricRow(case=case, frame=frame, label=label)
             row.dsc = dsc(pred, truth, label)
             try:
-                row.hd_mm = hausdorff(pred, truth, label)
-                row.masd_mm = masd(pred, truth, label)
+                # one pair of distance transforms serves both surface metrics
+                d_ab, d_ba = _surface_distances(pred, truth, label)
             except UndefinedMetricError as exc:
                 row.error = str(exc)
+            else:
+                row.hd_mm, row.masd_mm = _hausdorff(d_ab, d_ba), _masd(d_ab, d_ba)
             self.rows.append(row)
 
     def aggregate(self) -> dict:
@@ -224,12 +236,6 @@ def ecdf_csv(values: list[float], name: str) -> str:
     for v, frac in ecdf(values):
         writer.writerow([f"{v:.6f}", f"{frac:.6f}"])
     return buf.getvalue()
-
-
-def write_report(report: MetricReport, csv_path, json_path) -> None:
-    from .tnsr import atomic_write_text, write_json
-    atomic_write_text(csv_path, report.to_csv())
-    write_json(json_path, report.to_json_dict())
 
 
 # -- mask files ----------------------------------------------------------------

@@ -19,7 +19,6 @@ cost model is tested against.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from contextlib import contextmanager
 from typing import Iterable, Sequence
@@ -592,12 +591,46 @@ def _conv_geometry(in_spatial, kshape, stride, padding):
     return tuple(outs), pads
 
 
+# Elements of im2col columns gathered per GEMM tile. 2**16 elements are
+# 256 KiB of float32, about one core's L2 cache, so a tile's columns are still
+# cached when the matmul reads them; the whole-layer column matrix (tens of
+# MiB at 128x128 in 3D) would stream through memory twice and raise peak RSS.
+CONV_TILE_ELEMS = 2 ** 16
+
+
+def _windows(a: np.ndarray, kshape, strides, out_spatial,
+             writeable: bool = False) -> np.ndarray:
+    """(C, *k, *out) view of a padded (C, *spatial) array.
+
+    Entry [c, *off, *pos] is ``a[c, *(pos * stride + off)]``, so reshaping one
+    tile of the view to (C * prod(k), tile) gathers that tile's im2col columns.
+    For one fixed kernel offset the view holds distinct elements.
+    """
+    step = a.strides[1:]
+    return np.lib.stride_tricks.as_strided(
+        a, (a.shape[0], *kshape, *out_spatial),
+        a.strides[:1] + step + tuple(st * s for st, s in zip(step, strides)),
+        writeable=writeable)
+
+
 def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             stride=1, padding: str = "same") -> Tensor:
     """Cross-correlation of a (C_in, *spatial) input with a (C_out, C_in, *k) kernel.
 
     Supports 2 or 3 spatial dimensions. ``padding`` is "same" (extent-preserving
     at stride 1) or "valid". The kernel is not flipped.
+
+    The convolution is an im2col GEMM (Chellapilla et al. 2006, "High
+    Performance Convolutional Neural Networks for Document Processing"), tiled
+    over the output: leading output axes one index at a time, axis -2 in
+    blocks of rows, the last block possibly ragged. Each tile gathers its
+    (C_in * prod(k), tile) column matrix from a strided window view of the
+    padded input and makes one matmul into its block of the output. Rows per
+    block keep a tile's columns near ``CONV_TILE_ELEMS`` elements, an L2-sized
+    budget, so no layer's whole column matrix is built. The backward walks the
+    same tiles and recomputes their columns from the padded input:
+    ``dW += g_tile @ cols.T``, and ``dcols = W.T @ g_tile`` is scattered into
+    the padded input gradient with one strided add per kernel offset (col2im).
     """
     rank = x.ndim - 1
     if kernel.ndim != rank + 2:
@@ -615,16 +648,26 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     kshape = kernel.shape[2:]
     out_spatial, pads = _conv_geometry(x.shape[1:], kshape, strides, padding)
 
-    x_pad = np.pad(x.data, [(0, 0)] + pads)
-    out_data = np.zeros((c_out, *out_spatial), dtype=x.dtype)
-    offsets = list(itertools.product(*[range(k) for k in kshape]))
-    windows = {}
-    for off in offsets:
-        win_idx = (slice(None),) + tuple(
-            slice(o, o + s * n, s) for o, s, n in zip(off, strides, out_spatial))
-        windows[off] = win_idx
-        k_off = kernel.data[(slice(None), slice(None)) + off]
-        out_data += np.tensordot(k_off, x_pad[win_idx], axes=([1], [0]))
+    crop = (slice(None),) + tuple(slice(b, b + n) for (b, _), n in zip(pads, x.shape[1:]))
+    x_pad = np.zeros((c_in,) + tuple(n + b + a for n, (b, a) in zip(x.shape[1:], pads)),
+                     dtype=x.dtype)
+    x_pad[crop] = x.data
+    windows = _windows(x_pad, kshape, strides, out_spatial)
+    w_cols = kernel.data.reshape(c_out, -1)
+    col_rows = w_cols.shape[1]
+    rows, width = out_spatial[-2:]
+    block = max(1, CONV_TILE_ELEMS // (col_rows * width))
+    # (flat leading index, window-view index, first row, end row) per tile
+    tiles = [(flat, (Ellipsis,) + lead + (slice(r0, r0 + block), slice(None)),
+              r0, min(r0 + block, rows))
+             for flat, lead in enumerate(np.ndindex(*out_spatial[:-2]))
+             for r0 in range(0, rows, block)]
+
+    out_data = np.empty((c_out, int(np.prod(out_spatial[:-2])), rows * width), dtype=x.dtype)
+    for flat, win, r0, r1 in tiles:
+        np.matmul(w_cols, windows[win].reshape(col_rows, -1),
+                  out=out_data[:, flat, r0 * width:r1 * width])
+    out_data = out_data.reshape((c_out, *out_spatial))
     if bias is not None:
         out_data += bias.data.reshape((c_out,) + (1,) * rank)
     _count(int(np.prod(kshape)) * c_in * c_out * int(np.prod(out_spatial)))
@@ -633,19 +676,24 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     spatial_axes = tuple(range(1, rank + 1))
 
     def back(g):
-        if kernel.requires_grad:
-            dk = np.zeros_like(kernel.data)
-            for off in offsets:
-                dk[(slice(None), slice(None)) + off] = np.tensordot(
-                    g, x_pad[windows[off]], axes=(spatial_axes, spatial_axes))
-            _accum(kernel, dk)
+        g_tiles = g.reshape(c_out, -1, rows * width)
+        dk = np.zeros_like(w_cols) if kernel.requires_grad else None
         if x.requires_grad:
             dx_pad = np.zeros_like(x_pad)
-            for off in offsets:
-                k_off = kernel.data[(slice(None), slice(None)) + off]
-                dx_pad[windows[off]] += np.tensordot(k_off, g, axes=([0], [0]))
-            crop = (slice(None),) + tuple(
-                slice(before, before + n) for (before, _), n in zip(pads, x.shape[1:]))
+            dx_windows = _windows(dx_pad, kshape, strides, out_spatial, writeable=True)
+            offsets = [(slice(None),) + off for off in np.ndindex(*kshape)]
+        for flat, win, r0, r1 in tiles:
+            g_tile = g_tiles[:, flat, r0 * width:r1 * width]
+            if dk is not None:
+                dk += g_tile @ windows[win].reshape(col_rows, -1).T
+            if x.requires_grad:
+                d_cols = (w_cols.T @ g_tile).reshape(c_in, *kshape, r1 - r0, width)
+                d_win = dx_windows[win]
+                for off in offsets:
+                    d_win[off] += d_cols[off]
+        if dk is not None:
+            _accum(kernel, dk.reshape(kernel.shape))
+        if x.requires_grad:
             _accum(x, np.ascontiguousarray(dx_pad[crop]))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=spatial_axes))

@@ -11,13 +11,12 @@ motion-aware baseline that needs no attention.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import FeatureStack, TamConfig, TamParams, tam_forward
+from .attention import FeatureStack, TamConfig, TamParams, _uniform, tam_forward
 from .errors import ShapeError, ValidationError
 from .tensor import (BatchNormState, Tensor, batch_norm, concat, conv_nd,
                      max_pool, relu, reshape, slice_axis, softmax,
@@ -72,12 +71,6 @@ class BackboneConfig:
         c = self.slot_channels(slot)
         return TamConfig(channels=c, d_embed=self.d_embed or c,
                          heads=self.heads, spatial_rank=self.spatial_rank)
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
-    bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
-                  requires_grad=True)
 
 
 class _ConvBN:

@@ -1,5 +1,7 @@
 """Forward semantics of the tensor ops against plain numpy."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,76 @@ class TestConv:
         out = T.conv_nd(Tensor(x), Tensor(w)).data
         assert out[0, 2, 2] == 9.0
         assert out[0, 0, 0] == 4.0  # corner sees a 2x2 window under same padding
+
+
+def conv_nd_tensordot(x, w, b=None, stride=1, padding="same"):
+    """The engine's former convolution, kept as the oracle of the im2col GEMM.
+
+    One tensordot per kernel offset, forward and backward. Returns the output
+    and a function mapping an upstream gradient to (dx, dw, db).
+    """
+    rank = x.ndim - 1
+    strides = (stride,) * rank
+    kshape = w.shape[2:]
+    out_spatial, pads = T._conv_geometry(x.shape[1:], kshape, strides, padding)
+    x_pad = np.pad(x, [(0, 0)] + pads)
+    out = np.zeros((w.shape[0], *out_spatial), dtype=x.dtype)
+    windows = {}
+    for off in itertools.product(*[range(k) for k in kshape]):
+        windows[off] = (slice(None),) + tuple(
+            slice(o, o + s * n, s) for o, s, n in zip(off, strides, out_spatial))
+        out += np.tensordot(w[(slice(None), slice(None)) + off], x_pad[windows[off]],
+                            axes=([1], [0]))
+    if b is not None:
+        out += b.reshape((-1,) + (1,) * rank)
+    spatial_axes = tuple(range(1, rank + 1))
+
+    def back(g):
+        dw = np.zeros_like(w)
+        dx_pad = np.zeros_like(x_pad)
+        for off, win in windows.items():
+            dw[(slice(None), slice(None)) + off] = np.tensordot(
+                g, x_pad[win], axes=(spatial_axes, spatial_axes))
+            dx_pad[win] += np.tensordot(w[(slice(None), slice(None)) + off], g,
+                                        axes=([0], [0]))
+        crop = (slice(None),) + tuple(
+            slice(before, before + n) for (before, _), n in zip(pads, x.shape[1:]))
+        return dx_pad[crop], dw, g.sum(axis=spatial_axes)
+
+    return out, back
+
+
+class TestConvMatchesTensordotOracle:
+    """Shapes span several GEMM tiles with a ragged last one, and the 3D
+    shape has several leading output indices."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((16, 64, 64), (8, 16, 3, 3)),
+        ((8, 4, 31, 64), (6, 8, 3, 3, 3)),
+    ])
+    def test_output_and_gradients(self, x_shape, w_shape, padding, stride, dtype):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=x_shape).astype(dtype)
+        w = rng.normal(size=w_shape).astype(dtype)
+        b = rng.normal(size=w_shape[0]).astype(dtype)
+        ref_out, ref_back = conv_nd_tensordot(x, w, b, stride, padding)
+        rows, width = ref_out.shape[-2:]
+        per_tile = T.CONV_TILE_ELEMS // (int(np.prod(w_shape[1:])) * width)
+        assert rows > per_tile and rows % per_tile, "shape must span ragged tiles"
+
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = T.conv_nd(tx, tw, tb, stride=stride, padding=padding)
+        g = rng.normal(size=ref_out.shape).astype(dtype)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+
+        rel = 1e-10 if dtype == np.float64 else 1e-5
+        for got, ref in zip((out, tx.grad, tw.grad, tb.grad), (ref_out, *ref_back(g))):
+            assert got.dtype == dtype and got.shape == ref.shape
+            np.testing.assert_allclose(got.data, ref, rtol=rel,
+                                       atol=rel * np.abs(ref).max())
 
 
 class TestPoolUpsample:
