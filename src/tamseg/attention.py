@@ -187,25 +187,30 @@ def project_qkv(f_t: Tensor, params: TamParams) -> tuple[Tensor, Tensor, Tensor]
     if f_t.shape[0] != cfg.channels:
         raise ShapeError(f"feature map has {f_t.shape[0]} channels, "
                          f"config expects {cfg.channels}")
-    n = int(np.prod(f_t.shape[1:]))
+    n = math.prod(f_t.shape[1:])
     q = reshape(conv_nd(f_t, params.w_q, params.b_q), (cfg.d_embed, n))
     k = reshape(conv_nd(f_t, params.w_k, params.b_k), (cfg.d_embed, n))
     v = reshape(conv_nd(f_t, params.w_v, params.b_v), (cfg.d_embed, n))
     return q, k, v
 
 
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(d_embed, N) -> (heads, d_embed/heads, N); contiguous row blocks become heads."""
-    d, n = x.shape
+def head_blocks(x: Tensor, heads: int, axis: int = 0) -> list[Tensor]:
+    """Cut the embedding axis of ``x`` into ``heads`` contiguous blocks, one per head.
+
+    Head h of a (d_embed, N) map is rows [h*w, (h+1)*w) with w = d_embed/heads;
+    ``axis=1`` cuts the same heads as columns of a transposed (N, d_embed) map.
+    """
+    d = x.shape[axis]
     if d % heads:
         raise ShapeError(f"embedding width {d} not divisible by {heads} heads")
-    return reshape(x, (heads, d // heads, n))
+    if heads == 1:
+        return [x]
+    w = d // heads
+    return [slice_axis(x, axis, h * w, (h + 1) * w) for h in range(heads)]
 
 
-def merge_heads(x: Tensor) -> Tensor:
-    """Inverse of :func:`split_heads`."""
-    h, w, n = x.shape
-    return reshape(x, (h * w, n))
+def _logits(q_rows: Tensor, k: Tensor) -> Tensor:
+    return scale(matmul(q_rows, k), 1.0 / math.sqrt(k.shape[0]))
 
 
 def attention_logits(q: Tensor, k: Tensor) -> Tensor:
@@ -217,32 +222,31 @@ def attention_logits(q: Tensor, k: Tensor) -> Tensor:
     """
     if q.shape[0] != k.shape[0]:
         raise ShapeError(f"query width {q.shape[0]} != key width {k.shape[0]}")
-    return scale(matmul(transpose(q), k), 1.0 / math.sqrt(q.shape[0]))
+    return _logits(transpose(q), k)
 
 
-def cross_time_attention(q_i: Tensor, k_j: Tensor, v_j: Tensor) -> Tensor:
-    """Single-head attention from frame i's queries onto frame j's keys/values.
+def head_attention(q_rows: Tensor, k: Tensor, v_rows: Tensor) -> Tensor:
+    """Single-head attention from one frame's queries onto another's keys/values.
 
-    Softmax normalizes over key positions, so each query position holds a
-    convex combination of frame j's value columns. Returns (width, N).
+    Queries and values come as (N, width) rows, keys as a (width, N) map, the
+    layouts the two matmuls consume, so a frame transposes its maps once for
+    all its pairs. Softmax normalizes over key positions, so each query row
+    of the (N, width) result is a convex combination of the value rows.
     """
-    weights = softmax(attention_logits(q_i, k_j), axis=1)
-    return transpose(matmul(weights, transpose(v_j)))
+    if q_rows.shape[1] != k.shape[0]:
+        raise ShapeError(f"query width {q_rows.shape[1]} != key width {k.shape[0]}")
+    return matmul(softmax(_logits(q_rows, k), axis=1), v_rows)
 
 
-def multi_head_attention(q_i: Tensor, k_j: Tensor, v_j: Tensor,
-                         heads: int) -> Tensor:
-    """Per-head attention, concatenated back to the full embedding width."""
-    qh = split_heads(q_i, heads)
-    kh = split_heads(k_j, heads)
-    vh = split_heads(v_j, heads)
-    width = q_i.shape[0] // heads
-    outs = []
-    for h in range(heads):
-        def head(x):
-            return reshape(slice_axis(x, 0, h, h + 1), (width, x.shape[2]))
-        outs.append(cross_time_attention(head(qh), head(kh), head(vh)))
-    return concat(outs, axis=0) if heads > 1 else outs[0]
+def pair_attention(q_heads: list[Tensor], k_heads: list[Tensor],
+                   v_heads: list[Tensor]) -> Tensor:
+    """Multi-head attention of one frame pair, restored to (d_embed, N).
+
+    The operands are :func:`head_blocks` of a frame's transposed queries, of
+    the other frame's keys and of its transposed values.
+    """
+    outs = [head_attention(q, k, v) for q, k, v in zip(q_heads, k_heads, v_heads)]
+    return transpose(concat(outs, axis=1) if len(outs) > 1 else outs[0])
 
 
 def gate_and_fuse(f_i: Tensor, a_multi: Tensor, params: TamParams,
@@ -280,23 +284,28 @@ def tam_forward(stack: FeatureStack, params: TamParams,
     if len(spatial) != cfg.spatial_rank:
         raise ShapeError(f"stack has spatial rank {len(spatial)}, "
                          f"config expects {cfg.spatial_rank}")
-    n = int(np.prod(spatial))
+    n = math.prod(spatial)
     if n > MAX_POSITIONS:
         raise ValidationError(
             f"attention over {n} positions exceeds the {MAX_POSITIONS} guard; "
             "insert the module at a coarser layer")
 
-    projections = [project_qkv(f, params) for f in stack.frames]
+    # each frame's heads are cut once and shared by its T-1 pairs
+    heads = []
+    for f in stack.frames:
+        q, k, v = project_qkv(f, params)
+        heads.append((head_blocks(transpose(q), cfg.heads, axis=1),
+                      head_blocks(k, cfg.heads),
+                      head_blocks(transpose(v), cfg.heads, axis=1)))
     refined = []
     for i in range(t):
-        q_i = projections[i][0]
+        q_i = heads[i][0]
         pair_sum = None
         for j in range(t):
             if j == i:
                 continue
-            _, k_j, v_j = projections[j]
-            a_multi = multi_head_attention(q_i, k_j, v_j, cfg.heads)
-            a_spatial = reshape(a_multi, (cfg.d_embed,) + spatial)
+            _, k_j, v_j = heads[j]
+            a_spatial = reshape(pair_attention(q_i, k_j, v_j), (cfg.d_embed,) + spatial)
             fused = gate_and_fuse(stack.frames[i], a_spatial, params, training)
             pair_sum = fused if pair_sum is None else pair_sum + fused
         avg = scale(pair_sum, 1.0 / (t - 1))

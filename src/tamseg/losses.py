@@ -10,6 +10,8 @@ count. The class mean keeps the scale independent of the label count.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ShapeError, ValidationError
@@ -45,7 +47,7 @@ def _check_pair(probs: Tensor, truth: Tensor) -> None:
 def _per_class_terms(probs: Tensor, truth: Tensor,
                      eps: float = DICE_EPS) -> list[tuple[Tensor, Tensor]]:
     classes = probs.shape[0]
-    n = int(np.prod(probs.shape[1:]))
+    n = math.prod(probs.shape[1:])
     terms = []
     for c in range(classes):
         p_c = slice_axis(probs, 0, c, c + 1)

@@ -19,20 +19,23 @@ cost model is tested against.
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
 
 FLOAT_DTYPES = (np.float32, np.float64)
+_FLOAT_DTYPES = frozenset(np.dtype(t) for t in FLOAT_DTYPES)
 
 
 def _as_dtype(dtype) -> np.dtype:
     dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
+    if dt not in _FLOAT_DTYPES:
         raise ValueError(f"unsupported tensor dtype {dt}; only float32/float64")
     return dt
 
@@ -44,8 +47,8 @@ class Tensor:
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         if dtype is None:
-            dtype = data.dtype if isinstance(data, np.ndarray) and data.dtype in (
-                np.dtype(np.float32), np.dtype(np.float64)) else np.float64
+            dtype = (data.dtype if isinstance(data, np.ndarray)
+                     and data.dtype in _FLOAT_DTYPES else np.float64)
         # asarray with order="C" keeps 0-d scalars 0-d (ascontiguousarray
         # would promote them to shape (1,))
         arr = np.asarray(data, dtype=_as_dtype(dtype), order="C")
@@ -173,15 +176,33 @@ class Tensor:
 # -- graph machinery -------------------------------------------------------
 
 
+def _wrap(data: np.ndarray) -> Tensor:
+    """Untracked tensor over ``data`` as is; the caller guarantees the invariants."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = False
+    out.grad = None
+    out._parents = ()
+    out._backward = None
+    out._op = "leaf"
+    return out
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
-    out = Tensor(data, dtype=data.dtype)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
-        out._op = op
+    # an op's output is almost always a fresh C-contiguous float array already,
+    # which the constructor would only re-check; anything else it normalizes
+    if (type(data) is np.ndarray and data.flags.c_contiguous
+            and data.dtype in _FLOAT_DTYPES):
+        out = _wrap(data)
     else:
-        out._op = op
+        out = Tensor(data, dtype=data.dtype)
+    out._op = op
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward = backward_fn
+            break
     return out
 
 
@@ -189,7 +210,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = Tensor(np.zeros_like(t.data))
+        t.grad = _wrap(np.zeros(t.data.shape, t.data.dtype))
     t.grad.data += g
 
 
@@ -404,8 +425,8 @@ def relu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     # Stable two-branch evaluation keeps exp arguments non-positive.
     x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out_data = out_data.astype(a.dtype, copy=False)
 
     def back(g):
@@ -463,7 +484,7 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in (shape if isinstance(shape, Iterable) else (shape,)))
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view shape {a.shape} as {shape}")
 
     def back(g):
@@ -516,7 +537,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = tuple(slice(None) if d != ax else slice(start, stop) for d in range(a.ndim))
 
     def back(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(a.shape, a.dtype)
         full[idx] = g
         _accum(a, full)
 
@@ -598,19 +619,71 @@ def _conv_geometry(in_spatial, kshape, stride, padding):
 CONV_TILE_ELEMS = 2 ** 16
 
 
-def _windows(a: np.ndarray, kshape, strides, out_spatial,
-             writeable: bool = False) -> np.ndarray:
-    """(C, *k, *out) view of a padded (C, *spatial) array.
+class _ConvPlan(NamedTuple):
+    """Everything about one convolution that depends only on shapes."""
+
+    out_spatial: tuple[int, ...]
+    padded: tuple[int, ...] | None  # padded input shape; None when no pad is needed
+    crop: tuple[slice, ...]          # the input's place in the padded array
+    win_shape: tuple[int, ...]       # (C_in, *k, *out) window view ...
+    win_strides: tuple[int, ...]     # ... and its strides, in elements
+    col_rows: int                    # C_in * prod(k)
+    leads: int                       # output positions before the last two axes
+    width: int                       # output extent of the last axis
+    # (flat leading index, window-view index, output column slice,
+    #  column-gradient shape) per tile
+    tiles: tuple[tuple[int, tuple, slice, tuple[int, ...]], ...]
+    offsets: tuple[tuple, ...]       # one window-view index per kernel offset
+    macs: int
+
+
+# Distinct (input shape, kernel shape, stride, padding) combinations a model
+# uses number a few dozen; the bound only keeps a shape sweep from growing
+# the cache without limit.
+CONV_PLAN_CACHE = 256
+
+
+@functools.lru_cache(maxsize=CONV_PLAN_CACHE)
+def _conv_plan(x_shape, k_shape, strides, padding) -> _ConvPlan:
+    c_out, c_in, *kshape = k_shape
+    spatial = x_shape[1:]
+    out_spatial, pads = _conv_geometry(spatial, kshape, strides, padding)
+    padded = (c_in,) + tuple(n + b + a for n, (b, a) in zip(spatial, pads))
+    crop = (slice(None),) + tuple(slice(b, b + n) for (b, _), n in zip(pads, spatial))
+    # C-contiguous element strides of the padded array
+    steps = tuple(math.prod(padded[d + 1:]) for d in range(len(padded)))
+    col_rows = c_in * math.prod(kshape)
+    rows, width = out_spatial[-2:]
+    block = max(1, CONV_TILE_ELEMS // (col_rows * width))
+    tiles = tuple((flat, (Ellipsis,) + lead + (slice(r0, r0 + block), slice(None)),
+                   slice(r0 * width, min(r0 + block, rows) * width),
+                   (c_in, *kshape, min(r0 + block, rows) - r0, width))
+                  for flat, lead in enumerate(np.ndindex(*out_spatial[:-2]))
+                  for r0 in range(0, rows, block))
+    return _ConvPlan(
+        out_spatial=out_spatial,
+        padded=padded if any(b or a for b, a in pads) else None,
+        crop=crop,
+        win_shape=(c_in, *kshape, *out_spatial),
+        win_strides=steps + tuple(st * s for st, s in zip(steps[1:], strides)),
+        col_rows=col_rows,
+        leads=math.prod(out_spatial[:-2]),
+        width=width,
+        tiles=tiles,
+        offsets=tuple((slice(None),) + off for off in np.ndindex(*kshape)),
+        macs=col_rows * c_out * math.prod(out_spatial))
+
+
+def _windows(a: np.ndarray, plan: _ConvPlan) -> np.ndarray:
+    """(C, *k, *out) view of a C-contiguous padded (C, *spatial) array.
 
     Entry [c, *off, *pos] is ``a[c, *(pos * stride + off)]``, so reshaping one
     tile of the view to (C * prod(k), tile) gathers that tile's im2col columns.
-    For one fixed kernel offset the view holds distinct elements.
+    For one fixed kernel offset the view holds distinct elements. Building
+    it on ``a`` as a buffer checks that the view stays inside ``a``.
     """
-    step = a.strides[1:]
-    return np.lib.stride_tricks.as_strided(
-        a, (a.shape[0], *kshape, *out_spatial),
-        a.strides[:1] + step + tuple(st * s for st, s in zip(step, strides)),
-        writeable=writeable)
+    return np.ndarray(plan.win_shape, a.dtype, buffer=a,
+                      strides=tuple(s * a.itemsize for s in plan.win_strides))
 
 
 def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
@@ -631,6 +704,10 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     same tiles and recomputes their columns from the padded input:
     ``dW += g_tile @ cols.T``, and ``dcols = W.T @ g_tile`` is scattered into
     the padded input gradient with one strided add per kernel offset (col2im).
+
+    The shape-only part of this (extents, pads, tile list) is planned once
+    per shape combination and cached; when no pad is needed the input itself
+    is the padded array.
     """
     rank = x.ndim - 1
     if kernel.ndim != rank + 2:
@@ -644,59 +721,49 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"conv: bias shape {bias.shape} != ({c_out},)")
 
-    strides = _per_axis(stride, rank, "stride")
-    kshape = kernel.shape[2:]
-    out_spatial, pads = _conv_geometry(x.shape[1:], kshape, strides, padding)
-
-    crop = (slice(None),) + tuple(slice(b, b + n) for (b, _), n in zip(pads, x.shape[1:]))
-    x_pad = np.zeros((c_in,) + tuple(n + b + a for n, (b, a) in zip(x.shape[1:], pads)),
-                     dtype=x.dtype)
-    x_pad[crop] = x.data
-    windows = _windows(x_pad, kshape, strides, out_spatial)
+    plan = _conv_plan(x.shape, kernel.shape, _per_axis(stride, rank, "stride"), padding)
+    if plan.padded is None:
+        x_pad = np.ascontiguousarray(x.data)
+    else:
+        x_pad = np.zeros(plan.padded, dtype=x.dtype)
+        x_pad[plan.crop] = x.data
+    windows = _windows(x_pad, plan)
+    windows.flags.writeable = False
     w_cols = kernel.data.reshape(c_out, -1)
-    col_rows = w_cols.shape[1]
-    rows, width = out_spatial[-2:]
-    block = max(1, CONV_TILE_ELEMS // (col_rows * width))
-    # (flat leading index, window-view index, first row, end row) per tile
-    tiles = [(flat, (Ellipsis,) + lead + (slice(r0, r0 + block), slice(None)),
-              r0, min(r0 + block, rows))
-             for flat, lead in enumerate(np.ndindex(*out_spatial[:-2]))
-             for r0 in range(0, rows, block)]
+    col_rows = plan.col_rows
 
-    out_data = np.empty((c_out, int(np.prod(out_spatial[:-2])), rows * width), dtype=x.dtype)
-    for flat, win, r0, r1 in tiles:
-        np.matmul(w_cols, windows[win].reshape(col_rows, -1),
-                  out=out_data[:, flat, r0 * width:r1 * width])
-    out_data = out_data.reshape((c_out, *out_spatial))
+    out_data = np.empty((c_out, plan.leads, plan.out_spatial[-2] * plan.width),
+                        dtype=x.dtype)
+    for flat, win, cols, _ in plan.tiles:
+        np.matmul(w_cols, windows[win].reshape(col_rows, -1), out=out_data[:, flat, cols])
+    out_data = out_data.reshape((c_out, *plan.out_spatial))
     if bias is not None:
         out_data += bias.data.reshape((c_out,) + (1,) * rank)
-    _count(int(np.prod(kshape)) * c_in * c_out * int(np.prod(out_spatial)))
+    _count(plan.macs)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    spatial_axes = tuple(range(1, rank + 1))
 
     def back(g):
-        g_tiles = g.reshape(c_out, -1, rows * width)
-        dk = np.zeros_like(w_cols) if kernel.requires_grad else None
+        g_tiles = g.reshape(c_out, plan.leads, -1)
+        dk = np.zeros(w_cols.shape, w_cols.dtype) if kernel.requires_grad else None
         if x.requires_grad:
-            dx_pad = np.zeros_like(x_pad)
-            dx_windows = _windows(dx_pad, kshape, strides, out_spatial, writeable=True)
-            offsets = [(slice(None),) + off for off in np.ndindex(*kshape)]
-        for flat, win, r0, r1 in tiles:
-            g_tile = g_tiles[:, flat, r0 * width:r1 * width]
+            dx_pad = np.zeros(x_pad.shape, x_pad.dtype)
+            dx_windows = _windows(dx_pad, plan)
+        for flat, win, cols, d_shape in plan.tiles:
+            g_tile = g_tiles[:, flat, cols]
             if dk is not None:
                 dk += g_tile @ windows[win].reshape(col_rows, -1).T
             if x.requires_grad:
-                d_cols = (w_cols.T @ g_tile).reshape(c_in, *kshape, r1 - r0, width)
+                d_cols = (w_cols.T @ g_tile).reshape(d_shape)
                 d_win = dx_windows[win]
-                for off in offsets:
+                for off in plan.offsets:
                     d_win[off] += d_cols[off]
         if dk is not None:
             _accum(kernel, dk.reshape(kernel.shape))
         if x.requires_grad:
-            _accum(x, np.ascontiguousarray(dx_pad[crop]))
+            _accum(x, np.ascontiguousarray(dx_pad[plan.crop]))
         if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=spatial_axes))
+            _accum(bias, g.sum(axis=tuple(range(1, rank + 1))))
 
     return _result(out_data, parents, back, "conv")
 
@@ -780,7 +847,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                          f"!= ({c},)")
     axes = tuple(range(1, x.ndim))
     bshape = (c,) + (1,) * (x.ndim - 1)
-    count = int(np.prod(x.shape[1:])) if x.ndim > 1 else 1
 
     if training:
         mu = x.data.mean(axis=axes) if axes else x.data.copy()

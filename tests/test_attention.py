@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from tamseg.attention import (MAX_POSITIONS, FeatureStack, TamConfig,
-                              TamParams, attention_logits,
-                              cross_time_attention, gate_and_fuse,
-                              merge_heads, multi_head_attention, project_qkv,
-                              split_heads, tam_forward)
+                              TamParams, attention_logits, gate_and_fuse,
+                              head_attention, head_blocks, pair_attention,
+                              project_qkv, tam_forward)
 from tamseg.errors import ShapeError, ValidationError
-from tamseg.tensor import Tensor, backward, softmax, tsum
+from tamseg.tensor import (Tensor, backward, concat, conv_nd, matmul, mul,
+                           reshape, scale, slice_axis, softmax, transpose, tsum)
 
 
 def tam_oracle(frames, p, heads):
@@ -85,6 +85,61 @@ def tam_oracle(frames, p, heads):
         avg = acc / (t_n - 1)
         outs.append(conv1x1(avg, p["w_o"]).reshape((c,) + sp))
     return outs
+
+
+# -- the per-pair route the module used before its heads were cut once per
+# frame; kept as the oracle its replacement must match byte for byte
+
+
+def split_heads(x, heads):
+    """(d_embed, N) -> (heads, d_embed/heads, N); contiguous row blocks become heads."""
+    d, n = x.shape
+    if d % heads:
+        raise ShapeError(f"embedding width {d} not divisible by {heads} heads")
+    return reshape(x, (heads, d // heads, n))
+
+
+def cross_time_attention(q_i, k_j, v_j):
+    """Single-head attention from frame i's (width, N) queries onto frame j."""
+    weights = softmax(attention_logits(q_i, k_j), axis=1)
+    return transpose(matmul(weights, transpose(v_j)))
+
+
+def multi_head_attention(q_i, k_j, v_j, heads):
+    """Per-head attention, concatenated back to the full embedding width."""
+    qh = split_heads(q_i, heads)
+    kh = split_heads(k_j, heads)
+    vh = split_heads(v_j, heads)
+    width = q_i.shape[0] // heads
+    outs = []
+    for h in range(heads):
+        def head(x):
+            return reshape(slice_axis(x, 0, h, h + 1), (width, x.shape[2]))
+        outs.append(cross_time_attention(head(qh), head(kh), head(vh)))
+    return concat(outs, axis=0) if heads > 1 else outs[0]
+
+
+def tam_forward_per_pair(stack, params, training=False):
+    """The module with every pair re-splitting and re-transposing its heads."""
+    cfg = params.config
+    t = len(stack)
+    spatial = stack.frames[0].shape[1:]
+    projections = [project_qkv(f, params) for f in stack.frames]
+    refined = []
+    for i in range(t):
+        q_i = projections[i][0]
+        pair_sum = None
+        for j in range(t):
+            if j == i:
+                continue
+            _, k_j, v_j = projections[j]
+            a_multi = multi_head_attention(q_i, k_j, v_j, cfg.heads)
+            a_spatial = reshape(a_multi, (cfg.d_embed,) + spatial)
+            fused = gate_and_fuse(stack.frames[i], a_spatial, params, training)
+            pair_sum = fused if pair_sum is None else pair_sum + fused
+        avg = scale(pair_sum, 1.0 / (t - 1))
+        refined.append(conv_nd(avg, params.w_o))
+    return FeatureStack(frames=refined)
 
 
 def make_params(rng, channels=8, d_embed=8, heads=2, randomize_bn=True):
@@ -159,21 +214,30 @@ class TestProjections:
 class TestHeads:
     def test_single_head_is_identity(self):
         x = Tensor(np.random.default_rng(4).normal(size=(6, 10)))
-        np.testing.assert_allclose(split_heads(x, 1).data, x.data[None])
+        (only,) = head_blocks(x, 1)
+        np.testing.assert_allclose(only.data, x.data)
 
     def test_contiguous_blocks(self):
         x = Tensor(np.arange(8.0).reshape(4, 2))
-        h = split_heads(x, 2).data
+        h = [b.data for b in head_blocks(x, 2)]
         np.testing.assert_allclose(h[0], x.data[:2])  # rows {0,1} -> head 0
         np.testing.assert_allclose(h[1], x.data[2:])  # rows {2,3} -> head 1
 
     def test_round_trip(self):
         x = Tensor(np.random.default_rng(5).normal(size=(8, 7)))
-        np.testing.assert_allclose(merge_heads(split_heads(x, 4)).data, x.data)
+        np.testing.assert_allclose(concat(head_blocks(x, 4), axis=0).data, x.data)
+        rows = transpose(x)
+        np.testing.assert_allclose(concat(head_blocks(rows, 4, axis=1), axis=1).data,
+                                   rows.data)
 
     def test_non_divisible(self):
         with pytest.raises(ShapeError):
-            split_heads(Tensor(np.zeros((5, 4))), 2)
+            head_blocks(Tensor(np.zeros((5, 4))), 2)
+
+
+def attend(q, k, v):
+    """:func:`head_attention` on (width, N) maps, returning (width, N)."""
+    return transpose(head_attention(transpose(q), k, transpose(v)))
 
 
 class TestCrossTimeAttention:
@@ -182,7 +246,7 @@ class TestCrossTimeAttention:
         q = Tensor(rng.normal(size=(3, 1)))
         k = Tensor(rng.normal(size=(3, 1)))
         v = Tensor(rng.normal(size=(3, 1)))
-        out = cross_time_attention(q, k, v)
+        out = attend(q, k, v)
         np.testing.assert_allclose(out.data, v.data, rtol=1e-12)
 
     def test_identical_keys_give_value_mean(self):
@@ -190,7 +254,7 @@ class TestCrossTimeAttention:
         q = Tensor(rng.normal(size=(2, 5)))
         k = Tensor(np.tile(rng.normal(size=(2, 1)), (1, 5)))
         v = Tensor(rng.normal(size=(2, 5)))
-        out = cross_time_attention(q, k, v)
+        out = attend(q, k, v)
         expected = np.tile(v.data.mean(axis=1, keepdims=True), (1, 5))
         np.testing.assert_allclose(out.data, expected, rtol=1e-10)
 
@@ -199,7 +263,7 @@ class TestCrossTimeAttention:
         q = Tensor(np.array([[1.0, 2.0]]))
         k = Tensor(np.array([[0.5, 1.0]]))
         v = Tensor(np.array([[3.0, 5.0]]))
-        out = cross_time_attention(q, k, v).data
+        out = attend(q, k, v).data
 
         def row(logit_a, logit_b):
             ea, eb = math.exp(logit_a), math.exp(logit_b)
@@ -229,15 +293,19 @@ class TestCrossTimeAttention:
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
             attention_logits(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4))))
+        with pytest.raises(ShapeError):
+            head_attention(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 4))),
+                           Tensor(np.zeros((4, 3))))
 
     def test_multi_head_matches_per_head_assembly(self):
         rng = np.random.default_rng(10)
         q, k, v = (Tensor(rng.normal(size=(8, 5))) for _ in range(3))
-        got = multi_head_attention(q, k, v, heads=4).data
+        got = pair_attention(head_blocks(transpose(q), 4, axis=1), head_blocks(k, 4),
+                             head_blocks(transpose(v), 4, axis=1)).data
         for h in range(4):
             sl = slice(2 * h, 2 * h + 2)
-            single = cross_time_attention(Tensor(q.data[sl]), Tensor(k.data[sl]),
-                                          Tensor(v.data[sl])).data
+            single = attend(Tensor(q.data[sl]), Tensor(k.data[sl]),
+                            Tensor(v.data[sl])).data
             np.testing.assert_allclose(got[sl], single, rtol=1e-12)
 
 
@@ -377,6 +445,52 @@ class TestTamForward:
             assert t.grad is not None and np.any(t.grad.data != 0), name
         for f in frames:
             assert f.grad is not None
+
+
+class TestMatchesPerPairRoute:
+    """The module against :func:`tam_forward_per_pair`, byte for byte.
+
+    Cutting heads once per frame moves no arithmetic: every matmul, softmax
+    and gradient sum sees the same operands in the same order, so outputs,
+    gradients and batch-norm running stats must agree in every bit.
+    """
+
+    @staticmethod
+    def _run(forward, cfg, arrays, frames_np, weights_np):
+        params = TamParams.initialize(cfg, np.random.default_rng(0),
+                                      dtype=arrays["w_q"].dtype)
+        params.load_arrays(arrays)
+        frames = [Tensor(f, requires_grad=True) for f in frames_np]
+        out = forward(FeatureStack(list(frames)), params, training=True)
+        loss = None
+        for f, w in zip(out.frames, weights_np):
+            term = tsum(mul(f, Tensor(w)))
+            loss = term if loss is None else loss + term
+        backward(loss)
+        got = {f"out_{i}": f.data for i, f in enumerate(out.frames)}
+        got.update({f"grad_frame_{i}": f.grad.data for i, f in enumerate(frames)})
+        got.update({f"grad_{name}": t.grad.data
+                    for name, t in params.named_tensors().items()})
+        got["bn_running_mean"] = params.bn_state.running_mean
+        got["bn_running_var"] = params.bn_state.running_var
+        return got
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    def test_bit_identical(self, t, heads, dtype):
+        rng = np.random.default_rng(1000 + 10 * t + heads)
+        cfg = TamConfig(channels=6, d_embed=8, heads=heads, spatial_rank=2)
+        arrays = TamParams.initialize(cfg, rng, dtype=dtype).to_arrays()
+        frames_np = [rng.standard_normal((6, 3, 5)).astype(dtype) for _ in range(t)]
+        weights_np = [rng.standard_normal((6, 3, 5)).astype(dtype) for _ in range(t)]
+        want = self._run(tam_forward_per_pair, cfg, arrays, frames_np, weights_np)
+        got = self._run(tam_forward, cfg, arrays, frames_np, weights_np)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].dtype == want[name].dtype == dtype, name
+            assert got[name].shape == want[name].shape, name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestParamSerialization:

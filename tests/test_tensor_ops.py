@@ -278,6 +278,131 @@ class TestConvMatchesTensordotOracle:
                                        atol=rel * np.abs(ref).max())
 
 
+class TestConvPlanCache:
+    """The shape-only plan is cached per (input, kernel, stride, padding)."""
+
+    CASES = [  # (x shape, w shape, stride, padding), interleaved on purpose
+        ((3, 9, 7), (4, 3, 3, 3), 1, "same"),
+        ((2, 4, 5, 6), (3, 2, 3, 3, 3), 2, "same"),
+        ((3, 9, 7), (4, 3, 3, 3), 2, "valid"),
+        ((5, 6, 6), (2, 5, 1, 1), 1, "same"),
+        ((3, 9, 7), (4, 3, 3, 3), 1, "valid"),
+        ((2, 4, 5, 6), (3, 2, 3, 3, 3), 1, "valid"),
+        ((5, 6, 6), (2, 5, 1, 1), 2, "same"),
+        ((3, 9, 7), (4, 3, 3, 3), 2, "same"),
+    ]
+
+    def _check(self, x_shape, w_shape, stride, padding, rng):
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        ref_out, ref_back = conv_nd_tensordot(x, w, None, stride, padding)
+        tx, tw = Tensor(x.copy(), requires_grad=True), Tensor(w, requires_grad=True)
+        out = T.conv_nd(tx, tw, stride=stride, padding=padding)
+        g = rng.normal(size=ref_out.shape)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        ref_dx, ref_dw, _ = ref_back(g)
+        for got, ref in ((out.data, ref_out), (tx.grad.data, ref_dx), (tw.grad.data, ref_dw)):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+        np.testing.assert_array_equal(tx.data, x)  # the input is left as it was
+
+    def test_cold_then_warm_calls_match_oracle(self):
+        T._conv_plan.cache_clear()
+        rng = np.random.default_rng(41)
+        for _ in range(2):
+            for case in self.CASES:
+                self._check(*case, rng)
+        assert T._conv_plan.cache_info().hits >= len(self.CASES)
+
+    @pytest.mark.parametrize("w_shape, padding", [
+        ((4, 3, 1, 1), "same"), ((4, 3, 1, 1), "valid"), ((4, 3, 3, 2), "valid")])
+    def test_unpadded_conv_keeps_input_apart(self, w_shape, padding):
+        rng = np.random.default_rng(42)
+        for _ in range(2):
+            x = rng.normal(size=(3, 5, 6))
+            tx = Tensor(x.copy(), requires_grad=True)
+            out = T.conv_nd(tx, Tensor(rng.normal(size=w_shape)), padding=padding)
+            assert not np.shares_memory(out.data, tx.data)
+            out.data[...] = 7.0  # writing the output must not reach the input
+            np.testing.assert_array_equal(tx.data, x)
+        self._check((3, 5, 6), w_shape, 1, padding, rng)
+
+    def test_bad_geometry_raises_every_call(self):
+        x = Tensor(np.zeros((1, 4, 4)))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="padding"):
+                T.conv_nd(x, Tensor(np.zeros((1, 1, 3, 3))), padding="full")
+            with pytest.raises(ShapeError, match="exceeds"):
+                T.conv_nd(x, Tensor(np.zeros((1, 1, 5, 3))), padding="valid")
+
+
+class TestResultInvariant:
+    """Every op output is a C-contiguous float array of its inputs' dtype,
+    whether ``_result`` took it as is or normalized it."""
+
+    def _spy(self, monkeypatch):
+        made = []
+        real = T._result
+
+        def spy(data, parents, backward_fn, op):
+            out = real(data, parents, backward_fn, op)
+            made.append((out, parents))
+            return out
+
+        monkeypatch.setattr(T, "_result", spy)
+        return made
+
+    @staticmethod
+    def _assert_node(out, dtype):
+        assert type(out.data) is np.ndarray
+        assert out.data.flags.c_contiguous, out
+        assert out.dtype == dtype, out
+
+    def test_every_gradcheck_case(self, monkeypatch):
+        from tamseg.gradcheck import _op_cases
+        made = self._spy(monkeypatch)
+        for name, tensors, build_loss in _op_cases(np.random.default_rng(0)):
+            made.clear()
+            loss = build_loss()
+            assert made, name
+            for out, _ in made:
+                self._assert_node(out, np.float64)
+            loss.backward()
+            for t in tensors.values():
+                self._assert_node(t.grad, np.float64)
+
+    def test_float32_copies(self, monkeypatch):
+        made = self._spy(monkeypatch)
+        rng = np.random.default_rng(1)
+
+        def leaf(*shape):
+            return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+        x, k, m = leaf(2, 5, 6), leaf(3, 2, 3, 3), leaf(4, 6)
+        gamma, beta = leaf(3), leaf(3)
+        conv = T.conv_nd(x, k, stride=2)
+        normed = T.batch_norm(T.conv_nd(x, k), gamma, beta, BatchNormState(3), True)
+        attn = T.matmul(T.softmax(m, axis=1), T.transpose(m))
+        parts = T.concat([T.slice_axis(m, 0, 0, 2), T.sigmoid(m)], axis=0)
+        loss = (T.tsum(T.relu(normed)) + T.mean(conv) + T.tsum(attn)
+                + T.tsum(T.reshape(parts, (36,))) + T.tsum(T.max_pool(x, (1, 2))))
+        assert len(made) > 10
+        for out, _ in made:
+            self._assert_node(out, np.float32)
+        loss.backward()
+        for t in (x, k, m, gamma, beta):
+            self._assert_node(t.grad, np.float32)
+
+    def test_odd_arrays_are_normalized_or_refused(self):
+        strided = np.arange(12.0, dtype=np.float32).reshape(3, 4).T
+        out = T._result(strided, (), None, "probe")
+        assert out.data.flags.c_contiguous and out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, strided)
+        scalar = T._result(np.float64(2.5), (), None, "probe")
+        assert scalar.shape == () and scalar.dtype == np.float64
+        for bad in (np.arange(3), np.arange(3.0, dtype=">f8"), np.ones(3, np.float16)):
+            with pytest.raises(ValueError):
+                T._result(bad, (), None, "probe")
+
+
 class TestPoolUpsample:
     def test_max_pool_known_values(self):
         x = np.arange(16.0).reshape(1, 4, 4)
