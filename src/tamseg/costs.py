@@ -11,18 +11,13 @@ digit (see ``tensor.count_macs``).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 from .attention import TamConfig
 from .errors import ValidationError
-from .unet import CONFIGURATIONS, BackboneConfig
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= int(x)
-    return out
+from .unet import (BackboneConfig, check_extent, check_time_conv,
+                   resolve_configuration)
 
 
 @dataclass(frozen=True)
@@ -94,8 +89,8 @@ def conv_cost(kernel, c_in: int, c_out: int, out_spatial,
     """
     if isinstance(kernel, int):
         kernel = (kernel,) * len(tuple(out_spatial))
-    k = _prod(kernel)
-    macs = k * c_in * c_out * _prod(out_spatial)
+    k = math.prod(kernel)
+    macs = k * c_in * c_out * math.prod(out_spatial)
     params = k * c_in * c_out + (c_out if bias else 0)
     return macs, params
 
@@ -128,7 +123,7 @@ def tam_rows(cfg: TamConfig, spatial, t: int, prefix: str = "tam") -> list[CostR
     """
     if t < 1:
         raise ValidationError("attention cost needs T >= 1")
-    n = _prod(spatial)
+    n = math.prod(spatial)
     pairs = t * (t - 1)
     c, d = cfg.channels, cfg.d_embed
     one = (1,) * len(tuple(spatial))
@@ -150,103 +145,68 @@ def tam_rows(cfg: TamConfig, spatial, t: int, prefix: str = "tam") -> list[CostR
     return rows
 
 
-def _level_spatial(input_spatial, lvl: int):
-    return tuple(n >> lvl for n in input_spatial)
+def backbone_rows(config: BackboneConfig, input_spatial, t: int,
+                  fold_time: bool = False) -> list[CostRow]:
+    """Cost rows of the backbone, mirroring its forward pass.
 
+    Per frame, every layer runs once on each of the ``t`` frames. With
+    ``fold_time`` (the time-as-channel baseline) every layer runs once on one
+    volume whose leading axis is time.
+    """
+    if fold_time:
+        check_time_conv(config)
+    check_extent(config, input_spatial)
 
-def backbone_rows(config: BackboneConfig, input_spatial, t: int) -> list[CostRow]:
-    """Cost rows of the per-frame backbone, mirroring its forward pass."""
+    reps = 1 if fold_time else t  # applications of each layer
+
+    def extent(lvl):
+        s = tuple(n >> lvl for n in input_spatial)
+        return (t,) + s if fold_time else s
+
     ch = config.channels
     rows = []
     for lvl in range(config.levels):
-        s = _level_spatial(input_spatial, lvl)
-        n = _prod(s)
+        s = extent(lvl)
+        n = math.prod(s)
         c_in = config.in_channels if lvl == 0 else ch[lvl - 1]
         if lvl > 0:
-            rows.append(CostRow(f"enc{lvl + 1}.pool", elementwise=t * c_in
-                                * _prod(_level_spatial(input_spatial, lvl - 1))))
+            rows.append(CostRow(f"enc{lvl + 1}.pool", elementwise=reps * c_in
+                                * math.prod(extent(lvl - 1))))
         for unit, ci in (("a", c_in), ("b", ch[lvl])):
             macs, params = conv_cost(3, ci, ch[lvl], s, bias=False)
-            rows.append(CostRow(f"enc{lvl + 1}.{unit}.conv", macs * t, params))
+            rows.append(CostRow(f"enc{lvl + 1}.{unit}.conv", macs * reps, params))
             rows.append(CostRow(f"enc{lvl + 1}.{unit}.bn_relu", 0, 2 * ch[lvl],
-                                elementwise=3 * t * ch[lvl] * n))
+                                elementwise=3 * reps * ch[lvl] * n))
         slot = f"E{lvl + 1}"
         if slot in config.insertion_set:
             rows.extend(tam_rows(config.tam_config(slot), s, t,
                                  prefix=f"tam.{slot}"))
     for lvl in range(config.levels - 2, -1, -1):
-        s = _level_spatial(input_spatial, lvl)
-        n = _prod(s)
+        s = extent(lvl)
+        n = math.prod(s)
         macs, params = conv_cost(3, ch[lvl + 1], ch[lvl], s, bias=True)
-        rows.append(CostRow(f"dec{lvl + 1}.up.conv", macs * t, params,
-                            elementwise=t * ch[lvl + 1] * n))
+        rows.append(CostRow(f"dec{lvl + 1}.up.conv", macs * reps, params,
+                            elementwise=reps * ch[lvl + 1] * n))
         slot = f"D{lvl + 1}"
         if slot in config.insertion_set:
             rows.extend(tam_rows(config.tam_config(slot), s, t,
                                  prefix=f"tam.{slot}"))
         for unit, ci in (("a", 2 * ch[lvl]), ("b", ch[lvl])):
             macs, params = conv_cost(3, ci, ch[lvl], s, bias=False)
-            rows.append(CostRow(f"dec{lvl + 1}.{unit}.conv", macs * t, params))
+            rows.append(CostRow(f"dec{lvl + 1}.{unit}.conv", macs * reps, params))
             rows.append(CostRow(f"dec{lvl + 1}.{unit}.bn_relu", 0, 2 * ch[lvl],
-                                elementwise=3 * t * ch[lvl] * n))
-    one = (1,) * len(tuple(input_spatial))
-    macs, params = conv_cost(one, ch[0], config.classes, input_spatial, bias=True)
-    rows.append(CostRow("head.conv", macs * t, params))
-    return rows
-
-
-def time_conv_rows(config: BackboneConfig, input_spatial, t: int) -> list[CostRow]:
-    """Cost rows of the time-as-channel baseline (3x3x3 kernels, one volume)."""
-    if len(tuple(input_spatial)) != 2:
-        raise ValidationError("time-as-channel baseline supports 2D data only")
-    ch = config.channels
-    rows = []
-    for lvl in range(config.levels):
-        s = (t,) + _level_spatial(input_spatial, lvl)
-        n = _prod(s)
-        c_in = config.in_channels if lvl == 0 else ch[lvl - 1]
-        if lvl > 0:
-            rows.append(CostRow(f"enc{lvl + 1}.pool", elementwise=c_in
-                                * _prod((t,) + _level_spatial(input_spatial,
-                                                              lvl - 1))))
-        for unit, ci in (("a", c_in), ("b", ch[lvl])):
-            macs, params = conv_cost(3, ci, ch[lvl], s, bias=False)
-            rows.append(CostRow(f"enc{lvl + 1}.{unit}.conv", macs, params))
-            rows.append(CostRow(f"enc{lvl + 1}.{unit}.bn_relu", 0, 2 * ch[lvl],
-                                elementwise=3 * ch[lvl] * n))
-    for lvl in range(config.levels - 2, -1, -1):
-        s = (t,) + _level_spatial(input_spatial, lvl)
-        n = _prod(s)
-        macs, params = conv_cost(3, ch[lvl + 1], ch[lvl], s, bias=True)
-        rows.append(CostRow(f"dec{lvl + 1}.up.conv", macs, params,
-                            elementwise=ch[lvl + 1] * n))
-        for unit, ci in (("a", 2 * ch[lvl]), ("b", ch[lvl])):
-            macs, params = conv_cost(3, ci, ch[lvl], s, bias=False)
-            rows.append(CostRow(f"dec{lvl + 1}.{unit}.conv", macs, params))
-            rows.append(CostRow(f"dec{lvl + 1}.{unit}.bn_relu", 0, 2 * ch[lvl],
-                                elementwise=3 * ch[lvl] * n))
-    macs, params = conv_cost(1, ch[0], config.classes, (t,) + tuple(input_spatial),
-                             bias=True)
-    rows.append(CostRow("head.conv", macs, params))
+                                elementwise=3 * reps * ch[lvl] * n))
+    macs, params = conv_cost(1, ch[0], config.classes, extent(0), bias=True)
+    rows.append(CostRow("head.conv", macs * reps, params))
     return rows
 
 
 def configuration_report(config_id: str, base: BackboneConfig, input_spatial,
                          t: int) -> CostReport:
     """Full cost report for one named configuration at the given scale."""
-    if config_id not in CONFIGURATIONS:
-        raise ValidationError(f"unknown configuration {config_id!r}; "
-                              f"choose from {sorted(CONFIGURATIONS)}")
-    entry = CONFIGURATIONS[config_id]
+    cls, cfg = resolve_configuration(config_id, base)
     label = f"{config_id} @ input {tuple(input_spatial)}, T={t}"
-    if entry.time_conv:
-        return CostReport(label, time_conv_rows(base, input_spatial, t))
-    cfg = BackboneConfig(
-        spatial_rank=base.spatial_rank, levels=base.levels,
-        channels=base.channels, in_channels=base.in_channels,
-        classes=base.classes, insertion_set=entry.slots,
-        heads=base.heads, d_embed=base.d_embed)
-    return CostReport(label, backbone_rows(cfg, input_spatial, t))
+    return CostReport(label, backbone_rows(cfg, input_spatial, t, cls.FOLD_TIME))
 
 
 # a full-size operating point for headline comparisons

@@ -26,7 +26,7 @@ from .optim import Adam
 from .synth import SequenceSpec, load_dataset, write_dataset
 from .tensor import Tensor, assert_finite, backward
 from .tnsr import atomic_write_text, read_bundle, write_bundle, write_json
-from .unet import CONFIGURATIONS, BackboneConfig, build_model
+from .unet import BackboneConfig, build_model, lookup_configuration
 
 ABLATION_AXES = ("config", "heads", "frames", "tier")
 
@@ -53,9 +53,7 @@ class ExperimentConfig:
     eval_every: int = 25
 
     def __post_init__(self):
-        if self.config_id not in CONFIGURATIONS:
-            raise ValidationError(f"unknown configuration {self.config_id!r}; "
-                                  f"choose from {sorted(CONFIGURATIONS)}")
+        lookup_configuration(self.config_id)
         if not 2 <= self.frames <= 5:
             raise ValidationError(f"frames must be in [2, 5], got {self.frames}")
         if self.steps < 0 or self.batch_size < 1:

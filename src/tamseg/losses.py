@@ -76,7 +76,6 @@ def loss_components(probs: Tensor, truth: Tensor,
                     eps: float = DICE_EPS) -> dict[str, list[float]]:
     """Per-class Dice and cross-entropy terms as plain floats, for reporting."""
     _check_pair(probs, truth)
-    return {
-        "dice": [d.item() for d, _ in _per_class_terms(probs, truth, eps)],
-        "cross_entropy": [c.item() for _, c in _per_class_terms(probs, truth, eps)],
-    }
+    terms = _per_class_terms(probs, truth, eps)
+    return {"dice": [d.item() for d, _ in terms],
+            "cross_entropy": [c.item() for _, c in terms]}

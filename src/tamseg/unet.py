@@ -5,12 +5,15 @@ weights; at named insertion slots the per-frame feature stacks are exchanged
 through the attention module before flowing on. Slot ``E{n}`` sits after
 encoder level n's block (E{levels} is the bottleneck); slot ``D{n}`` sits in
 the decoder at level n's resolution, after upsampling but before the skip
-concatenation. A time-as-channel convolutional variant serves as the
-motion-aware baseline that needs no attention.
+concatenation. The time-as-channel baseline (C2), the motion-aware variant
+that needs no attention, is a configuration of the same backbone: the frames
+fold into one volume with time as a leading axis, so every convolution has
+rank 3 and pooling and upsampling use factor (1, 2, 2).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 
@@ -110,14 +113,46 @@ class _Block:
         return {"a": self.a.state, "b": self.b.state}
 
 
-class UNetBackbone:
-    """Per-frame segmentation backbone with optional cross-time exchange."""
+def check_extent(config: BackboneConfig, spatial, error=ValidationError) -> None:
+    """Raise ``error`` unless a ``config`` model accepts frames of this extent.
+
+    The frame check and the cost walk share it, so the cost table never
+    prices an input the model refuses. The frame count is not checked here.
+    """
+    if len(spatial) != config.spatial_rank:
+        raise error(f"input extent {tuple(spatial)} has {len(spatial)} axes, "
+                    f"config expects {config.spatial_rank}")
+    divisor = 2 ** (config.levels - 1)
+    for n in spatial:
+        if n % divisor:
+            raise error(f"spatial extent {n} not divisible by {divisor} "
+                        f"(needed for {config.levels} levels)")
+
+
+def check_time_conv(config: BackboneConfig) -> None:
+    """The time-as-channel baseline's limits: 2D data, no insertion slots."""
+    if config.spatial_rank != 2:
+        raise ValidationError("time-as-channel baseline supports 2D data only")
+    if config.insertion_set:
+        raise ValidationError("time-as-channel baseline takes no insertion slots")
+
+
+class _UNet:
+    """The one encoder-decoder: layer build, walk, plumbing and I/O.
+
+    With ``FOLD_TIME`` the frames are stacked on a leading time axis into one
+    volume: the walk carries a one-element feature list, every convolution
+    gains a width-3 time dimension, pooling and upsampling act on space only,
+    and the head's output is unstacked into per-frame maps.
+    """
+
+    FOLD_TIME = False
 
     def __init__(self, config: BackboneConfig, rng: np.random.Generator,
                  dtype=np.float32):
         self.config = config
         ch = config.channels
-        rank = config.spatial_rank
+        rank = config.spatial_rank + self.FOLD_TIME
         self.enc = []
         for lvl in range(config.levels):
             c_in = config.in_channels if lvl == 0 else ch[lvl - 1]
@@ -154,11 +189,7 @@ class UNetBackbone:
         if shape[0] != cfg.in_channels:
             raise ShapeError(f"frames have {shape[0]} channels, config expects "
                              f"{cfg.in_channels}")
-        divisor = 2 ** (cfg.levels - 1)
-        for n in shape[1:]:
-            if n % divisor:
-                raise ShapeError(f"spatial extent {n} not divisible by {divisor} "
-                                 f"(needed for {cfg.levels} levels)")
+        check_extent(cfg, shape[1:], ShapeError)
 
     def forward(self, frames: list[Tensor], training: bool = False) -> list[Tensor]:
         """Per-frame class probability maps, each (classes, *spatial)."""
@@ -168,11 +199,18 @@ class UNetBackbone:
                        training: bool = False) -> list[Tensor]:
         self._validate_frames(frames)
         cfg = self.config
-        feats = list(frames)
+        shape = frames[0].shape
+        if self.FOLD_TIME:
+            feats = [concat([reshape(f, (shape[0], 1) + shape[1:]) for f in frames],
+                            axis=1)]
+            factor = (1,) + (2,) * cfg.spatial_rank
+        else:
+            feats = list(frames)
+            factor = 2
         skips: dict[int, list[Tensor]] = {}
         for lvl in range(cfg.levels):
             if lvl > 0:
-                feats = [max_pool(f, 2) for f in feats]
+                feats = [max_pool(f, factor) for f in feats]
             feats = [self.enc[lvl](f, training) for f in feats]
             slot = f"E{lvl + 1}"
             if slot in self.tams:
@@ -183,7 +221,7 @@ class UNetBackbone:
         x = feats
         for stage in self.dec:
             lvl = stage["level"]
-            x = [conv_nd(upsample_nearest(f, 2), stage["up_w"], stage["up_b"])
+            x = [conv_nd(upsample_nearest(f, factor), stage["up_w"], stage["up_b"])
                  for f in x]
             slot = f"D{lvl + 1}"
             if slot in self.tams:
@@ -191,7 +229,12 @@ class UNetBackbone:
                                 training).frames
             x = [stage["block"](concat([skips[lvl][t], x[t]], axis=0), training)
                  for t in range(len(x))]
-        return [conv_nd(f, self.head_w, self.head_b) for f in x]
+        logits = [conv_nd(f, self.head_w, self.head_b) for f in x]
+        if not self.FOLD_TIME:
+            return logits
+        out_shape = (cfg.classes,) + shape[1:]
+        return [reshape(slice_axis(logits[0], 1, i, i + 1), out_shape)
+                for i in range(len(frames))]
 
     # -- parameter plumbing ----------------------------------------------------
 
@@ -256,135 +299,25 @@ class UNetBackbone:
         self.load_state_arrays(arrays)
 
 
-class TimeConvUNet:
-    """Motion-aware baseline: frames stacked on a time axis, 3x3x3 kernels.
+# The benchmark tracer wraps ``forward`` on each of the two public classes, so
+# they stay siblings: neither may inherit ``forward`` from the other.
 
-    Every convolution gains a width-3 time dimension while pooling and
-    upsampling act on space only, so temporal mixing happens in every layer
-    instead of at discrete insertion slots. 2D data only (the convolution
-    core handles at most three data axes).
+class UNetBackbone(_UNet):
+    """Per-frame segmentation backbone with optional cross-time exchange."""
+
+
+class TimeConvUNet(_UNet):
+    """Time-as-channel baseline (C2): time mixes in every layer, not at slots.
+
+    2D data only: the convolution core handles at most three data axes.
     """
+
+    FOLD_TIME = True
 
     def __init__(self, config: BackboneConfig, rng: np.random.Generator,
                  dtype=np.float32):
-        if config.spatial_rank != 2:
-            raise ValidationError("time-as-channel baseline supports 2D data only")
-        if config.insertion_set:
-            raise ValidationError("time-as-channel baseline takes no insertion slots")
-        self.config = config
-        ch = config.channels
-        rank = 3  # time + two spatial axes
-        self.enc = []
-        for lvl in range(config.levels):
-            c_in = config.in_channels if lvl == 0 else ch[lvl - 1]
-            self.enc.append(_Block(c_in, ch[lvl], rank, rng, dtype))
-        self.dec = []
-        for lvl in range(config.levels - 2, -1, -1):
-            up_w = _uniform(rng, (ch[lvl], ch[lvl + 1]) + (3,) * rank,
-                            ch[lvl + 1] * 3 ** rank, dtype)
-            up_b = Tensor(np.zeros(ch[lvl], dtype=dtype), requires_grad=True)
-            block = _Block(2 * ch[lvl], ch[lvl], rank, rng, dtype)
-            self.dec.append({"level": lvl, "up_w": up_w, "up_b": up_b,
-                             "block": block})
-        self.head_w = _uniform(rng, (config.classes, ch[0], 1, 1, 1), ch[0], dtype)
-        self.head_b = Tensor(np.zeros(config.classes, dtype=dtype),
-                             requires_grad=True)
-
-    def _stack(self, frames: list[Tensor]) -> Tensor:
-        if not 2 <= len(frames) <= 5:
-            raise ValidationError(f"the time-conv baseline takes 2 to 5 frames, "
-                                  f"got {len(frames)}")
-        shape = frames[0].shape
-        for i, f in enumerate(frames):
-            if f.shape != shape:
-                raise ShapeError(f"frame {i} shape {f.shape} != frame 0 shape {shape}")
-        if shape[0] != self.config.in_channels:
-            raise ShapeError(f"frames have {shape[0]} channels, config expects "
-                             f"{self.config.in_channels}")
-        divisor = 2 ** (self.config.levels - 1)
-        for n in shape[1:]:
-            if n % divisor:
-                raise ShapeError(f"spatial extent {n} not divisible by {divisor}")
-        cols = [reshape(f, (shape[0], 1) + shape[1:]) for f in frames]
-        return concat(cols, axis=1)
-
-    def forward(self, frames: list[Tensor], training: bool = False) -> list[Tensor]:
-        return [softmax(lg, axis=0) for lg in self.forward_logits(frames, training)]
-
-    def forward_logits(self, frames: list[Tensor],
-                       training: bool = False) -> list[Tensor]:
-        cfg = self.config
-        t = len(frames)
-        x = self._stack(frames)
-        skips: dict[int, Tensor] = {}
-        for lvl in range(cfg.levels):
-            if lvl > 0:
-                x = max_pool(x, (1, 2, 2))
-            x = self.enc[lvl](x, training)
-            if lvl < cfg.levels - 1:
-                skips[lvl] = x
-        for stage in self.dec:
-            lvl = stage["level"]
-            x = conv_nd(upsample_nearest(x, (1, 2, 2)), stage["up_w"], stage["up_b"])
-            x = stage["block"](concat([skips[lvl], x], axis=0), training)
-        vol = conv_nd(x, self.head_w, self.head_b)
-        out_shape = (cfg.classes,) + frames[0].shape[1:]
-        return [reshape(slice_axis(vol, 1, i, i + 1), out_shape) for i in range(t)]
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for lvl, block in enumerate(self.enc):
-            for k, v in block.tensors().items():
-                out[f"enc{lvl + 1}.{k}"] = v
-        for stage in self.dec:
-            lvl = stage["level"] + 1
-            out[f"dec{lvl}.up.w"] = stage["up_w"]
-            out[f"dec{lvl}.up.b"] = stage["up_b"]
-            for k, v in stage["block"].tensors().items():
-                out[f"dec{lvl}.{k}"] = v
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        return out
-
-    def _named_states(self) -> dict[str, BatchNormState]:
-        out: dict[str, BatchNormState] = {}
-        for lvl, block in enumerate(self.enc):
-            for k, st in block.states().items():
-                out[f"enc{lvl + 1}.{k}"] = st
-        for stage in self.dec:
-            for k, st in stage["block"].states().items():
-                out[f"dec{stage['level'] + 1}.{k}"] = st
-        return out
-
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.named_parameters().values())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, st in self._named_states().items():
-            out[f"{name}.running_mean"] = st.running_mean.copy()
-            out[f"{name}.running_var"] = st.running_var.copy()
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, st in self._named_states().items():
-            st.running_mean[:] = arrays[f"{name}.running_mean"]
-            st.running_var[:] = arrays[f"{name}.running_var"]
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        out = {name: t.data.copy() for name, t in self.named_parameters().items()}
-        out.update(self.state_arrays())
-        return out
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_parameters().items():
-            if name not in arrays:
-                raise ValidationError(f"checkpoint is missing tensor {name!r}")
-            if arrays[name].shape != t.shape:
-                raise ShapeError(f"checkpoint tensor {name} has shape "
-                                 f"{arrays[name].shape}, expected {t.shape}")
-            t.data = np.ascontiguousarray(arrays[name], dtype=t.dtype)
-        self.load_state_arrays(arrays)
+        check_time_conv(config)
+        super().__init__(config, rng, dtype)
 
 
 @dataclass(frozen=True)
@@ -418,19 +351,27 @@ def list_configurations() -> list[Configuration]:
                                               key=lambda s: int(s[1:]))]
 
 
-def build_model(config_id: str, base: BackboneConfig, rng: np.random.Generator,
-                dtype=np.float32):
-    """Instantiate the named configuration on top of ``base``'s widths."""
+def lookup_configuration(config_id: str) -> Configuration:
     if config_id not in CONFIGURATIONS:
         raise ValidationError(f"unknown configuration {config_id!r}; "
                               f"choose from {sorted(CONFIGURATIONS)}")
-    entry = CONFIGURATIONS[config_id]
-    cfg = BackboneConfig(
-        spatial_rank=base.spatial_rank, levels=base.levels,
-        channels=base.channels, in_channels=base.in_channels,
-        classes=base.classes,
-        insertion_set=frozenset() if entry.time_conv else entry.slots,
-        heads=base.heads, d_embed=base.d_embed)
-    if entry.time_conv:
-        return TimeConvUNet(cfg, rng, dtype)
-    return UNetBackbone(cfg, rng, dtype)
+    return CONFIGURATIONS[config_id]
+
+
+def resolve_configuration(config_id: str, base: BackboneConfig
+                          ) -> tuple[type[_UNet], BackboneConfig]:
+    """The model class and backbone config of the named configuration.
+
+    ``base`` supplies the widths; the configuration supplies the insertion
+    slots (none for the time-as-channel baseline).
+    """
+    entry = lookup_configuration(config_id)
+    cls = TimeConvUNet if entry.time_conv else UNetBackbone
+    return cls, dataclasses.replace(base, insertion_set=entry.slots)
+
+
+def build_model(config_id: str, base: BackboneConfig, rng: np.random.Generator,
+                dtype=np.float32) -> _UNet:
+    """Instantiate the named configuration on top of ``base``'s widths."""
+    cls, cfg = resolve_configuration(config_id, base)
+    return cls(cfg, rng, dtype)

@@ -43,6 +43,16 @@ class TestConfigValidation:
         assert cfg2.tam_config("E5").d_embed == 64
 
 
+class TestModelClasses:
+    def test_public_classes_are_siblings(self):
+        # The benchmark tracer wraps ``forward`` on UNetBackbone and on
+        # TimeConvUNet. If one inherited it from the other, every C2 forward
+        # would be wrapped, and timed, twice.
+        assert UNetBackbone is not TimeConvUNet
+        assert not issubclass(UNetBackbone, TimeConvUNet)
+        assert not issubclass(TimeConvUNet, UNetBackbone)
+
+
 class TestConfigurationTable:
     def test_exact_insertion_sets(self):
         want = {
@@ -204,6 +214,15 @@ class TestTimeConvBaseline:
         model = TimeConvUNet(BackboneConfig(levels=3, channels=(4, 8, 16)), rng)
         with pytest.raises(ValidationError, match="2 to 5"):
             model.forward_logits(small_frames(rng, t=6))
+
+    def test_frame_rank_checked(self):
+        # C2 shares the backbone's frame check, so a wrong-rank frame is
+        # refused before any convolution runs
+        rng = np.random.default_rng(63)
+        model = build_model("C2", SMALL, rng)
+        frames = [Tensor(np.zeros((1, 1, 16, 16), np.float32))] * 2
+        with pytest.raises(ShapeError, match="frame 0 has rank 4"):
+            model.forward_logits(frames)
 
     def test_center_slice_kernels_reduce_to_2d(self):
         # zero every time-kernel slice except the center: the 3D model must

@@ -7,8 +7,7 @@ from tamseg.attention import TamConfig, TamParams
 from tamseg.costs import (FULL_FRAMES, FULL_INPUT, FULL_SCALE,
                           CostRow, attention_cost, attention_pair_macs,
                           compare_architectures, configuration_report,
-                          conv_cost, tam_rows, tam_vs_time_conv,
-                          time_conv_rows)
+                          conv_cost, tam_rows, tam_vs_time_conv)
 from tamseg.errors import ValidationError
 from tamseg.tensor import Tensor, count_macs
 from tamseg.unet import BackboneConfig, build_model
@@ -113,7 +112,28 @@ class TestReportStructure:
 
     def test_time_conv_requires_2d(self):
         with pytest.raises(ValidationError):
-            time_conv_rows(DESK, (16, 16, 16), 2)
+            configuration_report("C2", DESK, (16, 16, 16), 2)
+        rank3 = BackboneConfig(spatial_rank=3, levels=3, channels=(4, 8, 16))
+        with pytest.raises(ValidationError, match="2D data only"):
+            configuration_report("C2", rank3, (16, 16, 16), 2)
+
+    def test_prices_only_inputs_the_model_accepts(self):
+        # the cost walk shares the backbone's input check: a base the model
+        # refuses, or an input of the wrong rank, has no cost table
+        rank3 = BackboneConfig(spatial_rank=3, levels=3, channels=(4, 8, 16))
+        with pytest.raises(ValidationError):
+            build_model("C2", rank3, np.random.default_rng(0))
+        with pytest.raises(ValidationError):
+            configuration_report("C2", rank3, (16, 16), 2)
+        rank2 = BackboneConfig(levels=3, channels=(4, 8, 16))
+        with pytest.raises(ValidationError):
+            configuration_report("C1", rank2, (16, 16, 16), 2)
+
+    def test_extent_divisibility(self):
+        base = BackboneConfig(levels=3, channels=(4, 8, 16))
+        for cid in ("C1", "C2"):
+            with pytest.raises(ValidationError, match="divisible by 4"):
+                configuration_report(cid, base, (16, 18), 1)
 
 
 class TestOrderings:
@@ -169,12 +189,18 @@ class TestCounterAgreement:
         ("C11", 5, (4, 4, 8, 8, 8), (32, 32), 2, 2),
         ("C5", 5, (2, 2, 4, 4, 8), (32, 32), 1, 2),
         ("C9", 5, (2, 4, 4, 8, 8), (32, 32), 2, 2),
+        ("C7", 5, (2, 4, 6, 8, 10), (32, 32), 1, 2),
+        ("C8", 5, (2, 4, 4, 8, 8), (32, 32), 2, 3),
+        ("C10", 5, (2, 2, 4, 4, 8), (32, 32), 1, 2),
+        # the per-frame backbone on 3D frames
+        ("C1", 3, (2, 4, 6), (8, 8, 8), 1, 2),
+        ("C3", 5, (2, 2, 4, 4, 4), (16, 16, 16), 1, 2),
     ]
 
     @pytest.mark.parametrize("cid,levels,channels,size,heads,t", CASES)
     def test_forward_macs_match(self, cid, levels, channels, size, heads, t):
-        base = BackboneConfig(levels=levels, channels=channels, heads=heads,
-                              classes=3)
+        base = BackboneConfig(spatial_rank=len(size), levels=levels,
+                              channels=channels, heads=heads, classes=3)
         rng = np.random.default_rng(hash((cid, levels)) % 2**32)
         model = build_model(cid, base, rng)
         frames = [Tensor(rng.standard_normal((1,) + size).astype(np.float32))
