@@ -77,6 +77,27 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
                   requires_grad=True)
 
 
+def load_checked(arrays: dict[str, np.ndarray],
+                 slots: dict[str, tuple[object, str]]) -> None:
+    """Set ``owner.attr`` to a copy of ``arrays[name]`` for every named slot.
+
+    The one check behind every checkpoint loader: each copy keeps the dtype
+    and must have the shape of the array it replaces. Every slot is checked
+    before any is written, so a rejected checkpoint changes nothing.
+    """
+    loaded = {}
+    for name, (owner, attr) in slots.items():
+        if name not in arrays:
+            raise ValidationError(f"checkpoint is missing tensor {name!r}")
+        current = getattr(owner, attr)
+        if np.shape(arrays[name]) != current.shape:
+            raise ShapeError(f"checkpoint tensor {name} has shape "
+                             f"{np.shape(arrays[name])}, expected {current.shape}")
+        loaded[name] = np.array(arrays[name], dtype=current.dtype, order="C")
+    for name, (owner, attr) in slots.items():
+        setattr(owner, attr, loaded[name])
+
+
 @dataclass
 class TamParams:
     """Learnable weights of one attention module instance.
@@ -144,15 +165,10 @@ class TamParams:
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_tensors().items():
-            if arrays[name].shape != t.shape:
-                raise ShapeError(f"checkpoint tensor {name} has shape "
-                                 f"{arrays[name].shape}, expected {t.shape}")
-            t.data = np.ascontiguousarray(arrays[name].astype(t.dtype))
-        self.bn_state.running_mean = arrays["bn_running_mean"].astype(
-            self.bn_state.running_mean.dtype)
-        self.bn_state.running_var = arrays["bn_running_var"].astype(
-            self.bn_state.running_var.dtype)
+        slots = {name: (t, "data") for name, t in self.named_tensors().items()}
+        slots["bn_running_mean"] = (self.bn_state, "running_mean")
+        slots["bn_running_var"] = (self.bn_state, "running_var")
+        load_checked(arrays, slots)
 
     def save(self, directory) -> None:
         """Write the parameters as a TNSR bundle; the config rides in the manifest."""
@@ -172,8 +188,8 @@ class TamParams:
         if meta.get("module") != "tam":
             raise ValidationError(f"{directory} does not hold attention parameters")
         cfg = TamConfig(**meta["config"])
-        params = TamParams.initialize(cfg, np.random.default_rng(0),
-                                      dtype=arrays["w_q"].dtype)
+        dtype = arrays["w_q"].dtype if "w_q" in arrays else np.float32
+        params = TamParams.initialize(cfg, np.random.default_rng(0), dtype=dtype)
         params.load_arrays(arrays)
         return params
 

@@ -120,6 +120,9 @@ def train(cfg: ExperimentConfig, log=None) -> dict:
     """
     if not cfg.dataset:
         raise ValidationError("config has no dataset path")
+    # a configuration the backbone cannot host fails before any file is made
+    rng = np.random.default_rng(cfg.seed)
+    model = build_model(cfg.config_id, cfg.backbone(), rng)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_config(outdir, cfg)
@@ -130,8 +133,6 @@ def train(cfg: ExperimentConfig, log=None) -> dict:
     train_cases = data["train"]
     val_cases = data.get("val", [])
 
-    rng = np.random.default_rng(cfg.seed)
-    model = build_model(cfg.config_id, cfg.backbone(), rng)
     params = model.named_parameters()
     opt = Adam(params.values(), lr=cfg.lr)
 
@@ -162,7 +163,7 @@ def train(cfg: ExperimentConfig, log=None) -> dict:
             except NumericError as exc:
                 raise NumericError(
                     f"training diverged at step {step}: {exc}") from exc
-            backward(loss * (1.0 / cfg.batch_size), free_graph=True)
+            backward(loss * (1.0 / cfg.batch_size))
             batch_loss += loss.item() / cfg.batch_size
         opt.step()
         if initial_loss is None:

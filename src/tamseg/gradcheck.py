@@ -233,20 +233,18 @@ def _op_cases(rng: np.random.Generator):
     return cases
 
 
-def run_op_suite(seeds=range(20), step: float = STEP,
-                 tolerance: float = TOLERANCE) -> list[GradCheckResult]:
+def run_op_suite(seeds=range(20)) -> list[GradCheckResult]:
     """Check every engine op against central differences across ``seeds``."""
     worst: dict[str, float] = {}
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for name, tensors, fn in _op_cases(rng):
-            err = check_gradients(fn, tensors, step=step)
+            err = check_gradients(fn, tensors)
             worst[name] = max(worst.get(name, 0.0), err)
-    return [GradCheckResult(name, err, tolerance) for name, err in worst.items()]
+    return [GradCheckResult(name, err, TOLERANCE) for name, err in worst.items()]
 
 
-def run_tam_suite(seeds=range(3), step: float = STEP,
-                  tolerance: float = TOLERANCE) -> list[GradCheckResult]:
+def run_tam_suite(seeds=range(3)) -> list[GradCheckResult]:
     """Full-coordinate check of the attention module end to end.
 
     A T=2 stack of 4x4 frames with 8 channels keeps the Jacobian small
@@ -281,16 +279,14 @@ def run_tam_suite(seeds=range(3), step: float = STEP,
         # the key bias shifts all logits of a query row equally, and softmax
         # cancels per-row shifts, so its true gradient is identically zero;
         # the floor keeps that exact zero from failing a relative comparison
-        err = check_gradients(build_loss, tensors, step=step, reset=reset,
-                              abs_floor=1e-7)
-        results.append(GradCheckResult(f"tam_seed{seed}", err, tolerance))
+        err = check_gradients(build_loss, tensors, reset=reset, abs_floor=1e-7)
+        results.append(GradCheckResult(f"tam_seed{seed}", err, TOLERANCE))
     return results
 
 
-def run_end2end_suite(seeds=range(2), step: float = STEP,
-                      tolerance: float = TOLERANCE,
-                      sample: int = 4) -> list[GradCheckResult]:
-    """Sampled-coordinate check through a small backbone plus loss."""
+def run_end2end_suite(seeds=range(2)) -> list[GradCheckResult]:
+    """Check of 4 sampled coordinates per tensor through a small backbone
+    plus loss."""
     from .losses import dice_ce_loss, one_hot
     from .unet import BackboneConfig, UNetBackbone
 
@@ -316,9 +312,9 @@ def run_end2end_suite(seeds=range(2), step: float = STEP,
         tensors = dict(model.named_parameters())
         tensors.update({f"frame_{i}": f for i, f in enumerate(frames)})
         coord_rng = np.random.default_rng(seed + 1000)
-        err = check_gradients(build_loss, tensors, step=step, reset=reset,
-                              sample=sample, rng=coord_rng, abs_floor=1e-7)
-        results.append(GradCheckResult(f"end2end_seed{seed}", err, tolerance))
+        err = check_gradients(build_loss, tensors, reset=reset, sample=4,
+                              rng=coord_rng, abs_floor=1e-7)
+        results.append(GradCheckResult(f"end2end_seed{seed}", err, TOLERANCE))
     return results
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -237,45 +236,3 @@ def ecdf_csv(values: list[float], name: str) -> str:
         writer.writerow([f"{v:.6f}", f"{frac:.6f}"])
     return buf.getvalue()
 
-
-# -- mask files ----------------------------------------------------------------
-
-MASK_HEADER_SUFFIX = ".hdr"
-
-
-def write_mask(path, mask: SegmentationMask) -> None:
-    """Write a mask as a u8 tensor file plus a text sidecar with the spacing.
-
-    The sidecar sits next to the tensor file with a ``.hdr`` suffix and holds
-    ``key: value`` lines; spacing is space-separated millimetres, one per axis.
-    """
-    from .tnsr import atomic_write_text, write_array
-    path = Path(path)
-    if mask.labels.size and mask.labels.max() > 255:
-        raise ValidationError("mask labels exceed the u8 range")
-    write_array(path, mask.labels.astype(np.uint8))
-    spacing = " ".join(f"{s:g}" for s in mask.spacing)
-    atomic_write_text(path.with_suffix(MASK_HEADER_SUFFIX),
-                      f"format: mask\nversion: 1\nspacing_mm: {spacing}\n")
-
-
-def read_mask(path) -> SegmentationMask:
-    """Read a mask tensor file and its sidecar header back together."""
-    from .tnsr import read_array
-    path = Path(path)
-    labels = read_array(path).astype(np.int64)
-    header_path = path.with_suffix(MASK_HEADER_SUFFIX)
-    if not header_path.exists():
-        raise ValidationError(f"mask {path} has no sidecar header {header_path}")
-    fields = {}
-    for line in header_path.read_text().splitlines():
-        if ":" in line:
-            key, value = line.split(":", 1)
-            fields[key.strip()] = value.strip()
-    if fields.get("format") != "mask":
-        raise ValidationError(f"{header_path} is not a mask header")
-    try:
-        spacing = tuple(float(v) for v in fields["spacing_mm"].split())
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"{header_path} has a bad spacing_mm line") from exc
-    return SegmentationMask(labels=labels, spacing=spacing)

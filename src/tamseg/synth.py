@@ -7,6 +7,13 @@ the generating geometry, so they are exact by construction. Only the first
 and last frames are annotated, mirroring data where intermediate frames
 carry no labels. Degradations: multiplicative speckle noise and rectangular
 signal-dropout patches, with presets from mild to severe.
+
+On disk a dataset is a directory with ``manifest.json`` and one
+subdirectory per case holding ``frame_XX.tnsr`` (float32 image) and
+``mask_XX.tnsr`` (u8 labels) for each frame. Each manifest case entry gives
+its ``id``, its ``spec``, its ``frames`` and ``masks`` file lists and its
+``annotated`` frame ids. The spec is the one record of voxel spacing: a
+loaded mask takes its spacing from it.
 """
 
 from __future__ import annotations
@@ -18,11 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import SegmentationMask, read_mask, write_mask
+from .metrics import SegmentationMask
 from .tnsr import read_array, read_json, write_array, write_json
 
 BACKGROUND, CAVITY, WALL = 0, 1, 2
-NUM_CLASSES = 3
 
 # intensity levels before degradation
 _BG_LEVEL = 0.15
@@ -207,7 +213,7 @@ def write_dataset(root, splits: dict[str, list[SequenceSpec]]) -> None:
                 f_name = f"frame_{t:02d}.tnsr"
                 m_name = f"mask_{t:02d}.tnsr"
                 write_array(case_dir / f_name, sample.images[t])
-                write_mask(case_dir / m_name, sample.masks[t])
+                write_array(case_dir / m_name, sample.masks[t].labels)
                 frame_files.append(f"{case_id}/{f_name}")
                 mask_files.append(f"{case_id}/{m_name}")
             cases.append({
@@ -216,27 +222,55 @@ def write_dataset(root, splits: dict[str, list[SequenceSpec]]) -> None:
                 "frames": frame_files,
                 "masks": mask_files,
                 "annotated": list(sample.annotated),
-                "spacing": list(spec.spacing),
             })
         manifest["splits"][split] = cases
     write_json(root / "manifest.json", manifest)
 
 
 def load_dataset(root) -> dict[str, list[SequenceSample]]:
-    """Read a dataset directory back into memory."""
+    """Read a dataset directory back into memory.
+
+    A case whose manifest entry lacks a key, or whose entry or files do not
+    fit its spec (file count, annotated frame ids, array shape, unreadable
+    array), raises :class:`ValidationError` naming the case.
+    """
     root = Path(root)
     manifest = read_json(root / "manifest.json")
-    if manifest.get("format") != "synth-dataset":
+    if manifest.get("format") != "synth-dataset" or "splits" not in manifest:
         raise ValidationError(f"{root} does not hold a synth dataset manifest")
-    out: dict[str, list[SequenceSample]] = {}
-    for split, cases in manifest["splits"].items():
-        samples = []
-        for case in cases:
-            spec = SequenceSpec.from_json_dict(case["spec"])
-            images = [read_array(root / f).astype(np.float32)
-                      for f in case["frames"]]
-            masks = [read_mask(root / f) for f in case["masks"]]
-            samples.append(SequenceSample(spec=spec, images=images, masks=masks,
-                                          annotated=tuple(case["annotated"])))
-        out[split] = samples
-    return out
+    return {split: [_load_case(root, case, case.get("id", f"{split} case {i}"))
+                    for i, case in enumerate(cases)]
+            for split, cases in manifest["splits"].items()}
+
+
+def _load_case(root: Path, case: dict, case_id: str) -> SequenceSample:
+    where = f"dataset {root}, {case_id}"
+    try:
+        spec = SequenceSpec.from_json_dict(case["spec"])
+        files = {"frames": case["frames"], "masks": case["masks"]}
+        annotated = tuple(case["annotated"])
+    except KeyError as exc:
+        raise ValidationError(f"{where}: manifest entry has no {exc} key") from exc
+    for kind, names in files.items():
+        if len(names) != spec.frames:
+            raise ValidationError(f"{where}: lists {len(names)} {kind}, "
+                                  f"its spec has {spec.frames}")
+    if any(not 0 <= i < spec.frames for i in annotated):
+        raise ValidationError(f"{where}: annotated frames {annotated} outside "
+                              f"its {spec.frames} frames")
+
+    def read(name: str) -> np.ndarray:
+        try:
+            arr = read_array(root / name)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+        if arr.shape != spec.extents:
+            raise ValidationError(f"{where}: {name} has shape {arr.shape}, "
+                                  f"its spec has extents {spec.extents}")
+        return arr
+
+    images = [read(f).astype(np.float32) for f in files["frames"]]
+    masks = [SegmentationMask(read(f).astype(np.int64), spec.spacing)
+             for f in files["masks"]]
+    return SequenceSample(spec=spec, images=images, masks=masks,
+                          annotated=annotated)

@@ -3,7 +3,7 @@
 The engine is deliberately small and auditable: values live in contiguous
 numpy arrays, every differentiable operation records its inputs and a
 backward closure on the produced tensor, and ``backward`` replays the
-recorded graph in reverse topological order via a :class:`Tape`.
+recorded graph once, in reverse topological order.
 
 Two rules keep the gradient code simple enough to verify by hand:
 
@@ -81,14 +81,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        """The underlying array (not a copy; callers must not mutate it)."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        """Same values, no graph participation."""
-        return Tensor(self.data.copy(), dtype=self.dtype, requires_grad=False)
 
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(_as_dtype(dtype)), requires_grad=self.requires_grad)
@@ -169,8 +161,8 @@ class Tensor:
     def transpose(self, axes=None):
         return transpose(self, axes)
 
-    def backward(self, free_graph: bool = True) -> None:
-        backward(self, free_graph=free_graph)
+    def backward(self) -> None:
+        backward(self)
 
 
 # -- graph machinery -------------------------------------------------------
@@ -214,46 +206,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad.data += g
 
 
-class Tape:
-    """Ordered record of the operations reachable from one output tensor.
-
-    ``nodes`` is a topological order (parents before children); the backward
-    sweep walks it reversed, visiting each recorded operation exactly once.
-    """
-
-    def __init__(self, root: Tensor):
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        self.nodes = order
-
-    def run_backward(self, free_graph: bool = True) -> None:
-        for node in reversed(self.nodes):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad.data)
-                if free_graph:
-                    node._backward = None
-                    node._parents = ()
-
-
-def backward(loss: Tensor, free_graph: bool = True) -> None:
+def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
     ``loss`` must be scalar. Gradients accumulate across calls until reset
-    with ``zero_grad``. With ``free_graph`` (the default) the tape is freed
-    afterwards; pass False to backpropagate through the same graph again.
+    with ``zero_grad``. The graph is freed as it is swept, so each graph
+    backpropagates once.
     """
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -262,7 +220,28 @@ def backward(loss: Tensor, free_graph: bool = True) -> None:
     if loss.grad is None:
         loss.grad = Tensor(np.zeros_like(loss.data))
     loss.grad.data += np.ones_like(loss.data)
-    Tape(loss).run_backward(free_graph=free_graph)
+    # iterative depth-first topological order (parents before children), so
+    # graphs deeper than the recursion limit work
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad.data)
+            node._backward = None
+            node._parents = ()
 
 
 def assert_finite(t: Tensor, what: str = "tensor") -> Tensor:

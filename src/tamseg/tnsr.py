@@ -2,8 +2,8 @@
 
 A ``.tnsr`` file is: magic bytes ``TNSR``, u8 version (1), u8 dtype code
 (0=float32, 1=float64, 2=uint8), u8 ndim, then ndim little-endian u32
-extents, then the row-major little-endian payload. Checkpoints, masks and
-synthetic datasets all use it.
+extents, then the row-major little-endian payload. Checkpoints use it, and
+so do synthetic datasets, for frames and for u8 label masks alike.
 
 A *bundle* is a directory holding one ``.tnsr`` file per named array plus a
 ``manifest.json`` with the name->file map and arbitrary structured metadata.
@@ -12,6 +12,7 @@ A *bundle* is a directory holding one ``.tnsr`` file per named array plus a
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -45,22 +46,23 @@ def read_array(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a TNSR file (bad magic {raw[:4]!r})")
+    if len(raw) < 7 or len(raw) < 7 + 4 * raw[6]:
+        raise ValueError(f"{path}: truncated TNSR header")
     version, code, ndim = raw[4], raw[5], raw[6]
     if version != VERSION:
         raise ValueError(f"{path}: unsupported TNSR version {version}")
     if code not in _CODE_TO_DTYPE:
         raise ValueError(f"{path}: unknown dtype code {code}")
-    offset = 7
-    extents = np.frombuffer(raw, dtype="<u4", count=ndim, offset=offset)
-    offset += 4 * ndim
+    offset = 7 + 4 * ndim
+    extents = tuple(int(e) for e in np.frombuffer(raw, dtype="<u4", count=ndim,
+                                                   offset=7))
     dtype = _CODE_TO_DTYPE[code]
-    count = int(np.prod(extents, dtype=np.int64)) if ndim else 1
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    expected = offset + count * dtype.itemsize
-    if len(raw) != expected:
+    count = math.prod(extents)
+    # checked before the payload is viewed, so a truncated file names itself
+    if len(raw) != offset + count * dtype.itemsize:
         raise ValueError(f"{path}: payload size {len(raw) - offset} does not match "
-                         f"extents {tuple(int(e) for e in extents)}")
-    arr = data.reshape(tuple(int(e) for e in extents))
+                         f"extents {extents}")
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(extents)
     return np.asarray(arr.astype(arr.dtype.newbyteorder("="), copy=True), order="C")
 
 

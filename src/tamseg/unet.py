@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import FeatureStack, TamConfig, TamParams, _uniform, tam_forward
+from .attention import (FeatureStack, TamConfig, TamParams, _uniform,
+                        load_checked, tam_forward)
 from .errors import ShapeError, ValidationError
 from .tensor import (BatchNormState, Tensor, batch_norm, concat, conv_nd,
                      max_pool, relu, reshape, slice_axis, softmax,
@@ -256,32 +257,29 @@ class _UNet:
                 out[f"tam.{slot}.{k}"] = v
         return out
 
-    def _named_states(self) -> dict[str, BatchNormState]:
-        out: dict[str, BatchNormState] = {}
+    def _state_slots(self) -> dict[str, tuple[BatchNormState, str]]:
+        """Checkpoint name -> (batch-norm state, attribute) of every running stat."""
+        states: dict[str, BatchNormState] = {}
         for lvl, block in enumerate(self.enc):
             for k, st in block.states().items():
-                out[f"enc{lvl + 1}.{k}"] = st
+                states[f"enc{lvl + 1}.{k}"] = st
         for stage in self.dec:
             for k, st in stage["block"].states().items():
-                out[f"dec{stage['level'] + 1}.{k}"] = st
+                states[f"dec{stage['level'] + 1}.{k}"] = st
         for slot, tam in self.tams.items():
-            out[f"tam.{slot}"] = tam.bn_state
-        return out
+            states[f"tam.{slot}"] = tam.bn_state
+        return {f"{name}.{attr}": (st, attr) for name, st in states.items()
+                for attr in ("running_mean", "running_var")}
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.named_parameters().values())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, st in self._named_states().items():
-            out[f"{name}.running_mean"] = st.running_mean.copy()
-            out[f"{name}.running_var"] = st.running_var.copy()
-        return out
+        return {name: getattr(st, attr).copy()
+                for name, (st, attr) in self._state_slots().items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, st in self._named_states().items():
-            st.running_mean[:] = arrays[f"{name}.running_mean"]
-            st.running_var[:] = arrays[f"{name}.running_var"]
+        load_checked(arrays, self._state_slots())
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         out = {name: t.data.copy() for name, t in self.named_parameters().items()}
@@ -289,14 +287,8 @@ class _UNet:
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_parameters().items():
-            if name not in arrays:
-                raise ValidationError(f"checkpoint is missing tensor {name!r}")
-            if arrays[name].shape != t.shape:
-                raise ShapeError(f"checkpoint tensor {name} has shape "
-                                 f"{arrays[name].shape}, expected {t.shape}")
-            t.data = np.ascontiguousarray(arrays[name], dtype=t.dtype)
-        self.load_state_arrays(arrays)
+        slots = {name: (t, "data") for name, t in self.named_parameters().items()}
+        load_checked(arrays, {**slots, **self._state_slots()})
 
 
 # The benchmark tracer wraps ``forward`` on each of the two public classes, so

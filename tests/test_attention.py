@@ -524,6 +524,32 @@ class TestParamSerialization:
         with pytest.raises(ShapeError):
             params.load_arrays(arrays)
 
+    def test_running_stat_shape_mismatch_rejected(self):
+        _, params = make_params(np.random.default_rng(22))
+        arrays = params.to_arrays()
+        arrays["bn_running_mean"] = np.zeros(3)
+        with pytest.raises(ShapeError, match="bn_running_mean"):
+            params.load_arrays(arrays)
+
+    def test_missing_tensor_rejected(self):
+        _, params = make_params(np.random.default_rng(23))
+        before = {k: v.copy() for k, v in params.to_arrays().items()}
+        _, other = make_params(np.random.default_rng(24))
+        arrays = other.to_arrays()
+        del arrays["w_o"]
+        with pytest.raises(ValidationError, match="w_o"):
+            params.load_arrays(arrays)
+        for name, arr in params.to_arrays().items():
+            np.testing.assert_array_equal(arr, before[name])
+
+    def test_loaded_arrays_are_copies(self):
+        _, params = make_params(np.random.default_rng(25))
+        _, other = make_params(np.random.default_rng(26))
+        arrays = {k: v.copy() for k, v in other.to_arrays().items()}
+        params.load_arrays(arrays)
+        for name, arr in params.to_arrays().items():
+            assert not np.shares_memory(arr, arrays[name]), name
+
     def test_parameter_count(self):
         cfg = TamConfig(channels=8, d_embed=8, heads=2)
         params = TamParams.initialize(cfg, np.random.default_rng(0))

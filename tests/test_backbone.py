@@ -285,6 +285,45 @@ class TestCheckpointing:
         with pytest.raises(ValidationError, match="head.w"):
             model.load_arrays(arrays)
 
+    def test_wrong_shaped_running_stat_rejected(self):
+        # a (1,) array must not broadcast into every channel
+        model = UNetBackbone(SMALL, np.random.default_rng(22))
+        arrays = model.to_arrays()
+        arrays["enc1.a.running_mean"] = np.ones(1, dtype=np.float32)
+        with pytest.raises(ShapeError, match="enc1.a.running_mean"):
+            model.load_arrays(arrays)
+        with pytest.raises(ShapeError, match="enc1.a.running_mean"):
+            model.load_state_arrays(arrays)
+
+    def test_missing_slot_state_rejected(self):
+        cfg = BackboneConfig(levels=3, channels=(4, 8, 16), heads=2,
+                             insertion_set=frozenset({"E3"}))
+        model = UNetBackbone(cfg, np.random.default_rng(23))
+        arrays = model.to_arrays()
+        del arrays["tam.E3.running_var"]
+        with pytest.raises(ValidationError, match="tam.E3.running_var"):
+            model.load_arrays(arrays)
+
+    def test_rejected_load_changes_nothing(self):
+        model = UNetBackbone(SMALL, np.random.default_rng(24))
+        before = model.to_arrays()
+        arrays = UNetBackbone(SMALL, np.random.default_rng(25)).to_arrays()
+        del arrays["head.b"]
+        with pytest.raises(ValidationError):
+            model.load_arrays(arrays)
+        for name, arr in model.to_arrays().items():
+            np.testing.assert_array_equal(arr, before[name])
+
+    def test_loaded_arrays_are_copies(self):
+        model = UNetBackbone(SMALL, np.random.default_rng(26))
+        arrays = UNetBackbone(SMALL, np.random.default_rng(27)).to_arrays()
+        model.load_arrays(arrays)
+        snapshot = {name: arr.copy() for name, arr in arrays.items()}
+        for arr in arrays.values():
+            arr += 1
+        for name, arr in model.to_arrays().items():
+            np.testing.assert_array_equal(arr, snapshot[name])
+
     def test_named_parameters_cover_slots(self):
         rng = np.random.default_rng(21)
         cfg = BackboneConfig(levels=3, channels=(4, 8, 16), heads=2,

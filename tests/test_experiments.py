@@ -51,6 +51,16 @@ class TestExperimentConfig:
             train(ExperimentConfig(outdir="somewhere"))
 
 
+    def test_unhostable_configuration_makes_no_run_directory(self, tmp_path):
+        # C4 needs slot E5, which a 4-level backbone does not have
+        cfg = ExperimentConfig(config_id="C4", levels=4, channels=(4, 8, 16, 32),
+                               dataset=str(tmp_path / "no_dataset"),
+                               outdir=str(tmp_path / "run"))
+        with pytest.raises(ValidationError, match="E5"):
+            train(cfg)
+        assert not (tmp_path / "run").exists()
+
+
 class TestFrameSelection:
     def test_evenly_spaced_with_endpoints(self):
         assert select_frame_indices(5, 3) == [0, 2, 4]

@@ -7,6 +7,7 @@ from tamseg.errors import ValidationError
 from tamseg.synth import (BACKGROUND, CAVITY, WALL, QUALITY_TIERS,
                           SequenceSpec, cavity_measure, generate,
                           load_dataset, write_dataset)
+from tamseg.tnsr import read_array, read_json, write_array, write_json
 
 SMALL = dict(extents=(32, 32), frames=3)
 
@@ -170,25 +171,38 @@ class TestDatasetOnDisk:
     def test_round_trip(self, tmp_path):
         splits = {
             "train": [SequenceSpec(seed=s, **SMALL) for s in range(2)],
-            "test": [SequenceSpec(seed=9, spacing=(1.5, 0.8), **SMALL)],
+            "test": [SequenceSpec(seed=9, spacing=(1 / 3, 0.7), **SMALL),
+                     SequenceSpec(seed=4, extents=(32, 32, 32), frames=2,
+                                  spacing=(2.0, 1.0, 0.3))],
         }
         write_dataset(tmp_path / "ds", splits)
         loaded = load_dataset(tmp_path / "ds")
         assert sorted(loaded) == ["test", "train"]
         assert len(loaded["train"]) == 2
 
-        want = generate(splits["test"][0])
-        got = loaded["test"][0]
-        assert got.annotated == want.annotated
-        assert got.spec == splits["test"][0]
-        for a, b in zip(got.images, want.images):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(got.masks, want.masks):
-            np.testing.assert_array_equal(a.labels, b.labels)
-            assert a.spacing == (1.5, 0.8)
+        for spec, got in zip(splits["test"], loaded["test"]):
+            want = generate(spec)
+            assert got.annotated == want.annotated
+            assert got.spec == spec
+            for a, b in zip(got.images, want.images):
+                np.testing.assert_array_equal(a, b)
+            for a, b in zip(got.masks, want.masks):
+                np.testing.assert_array_equal(a.labels, b.labels)
+                assert a.labels.dtype == np.int64
+                # exact: the spec is the one record of spacing
+                assert a.spacing == spec.spacing
+
+    def test_layout(self, tmp_path):
+        write_dataset(tmp_path / "ds", {"train": [SequenceSpec(**SMALL)]})
+        files = sorted(p.name for p in (tmp_path / "ds" / "train_000").iterdir())
+        assert files == ["frame_00.tnsr", "frame_01.tnsr", "frame_02.tnsr",
+                         "mask_00.tnsr", "mask_01.tnsr", "mask_02.tnsr"]
+        assert read_array(tmp_path / "ds" / "train_000" / "mask_00.tnsr").dtype \
+            == np.uint8
+        (case,) = read_json(tmp_path / "ds" / "manifest.json")["splits"]["train"]
+        assert sorted(case) == ["annotated", "frames", "id", "masks", "spec"]
 
     def test_rejects_foreign_manifest(self, tmp_path):
-        from tamseg.tnsr import write_json
         (tmp_path / "ds").mkdir()
         write_json(tmp_path / "ds" / "manifest.json", {"format": "other"})
         with pytest.raises(ValidationError):
@@ -206,3 +220,44 @@ class TestDatasetOnDisk:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes()
+
+
+class TestDatasetRejects:
+    """Hand-edited copies of a written dataset fail with the case named."""
+
+    @staticmethod
+    def _rejects(tmp_path, change, match):
+        root = tmp_path / "ds"
+        write_dataset(root, {"train": [SequenceSpec(seed=s, **SMALL)
+                                       for s in range(2)]})
+        manifest = read_json(root / "manifest.json")
+        change(root, manifest["splits"]["train"][1])
+        write_json(root / "manifest.json", manifest)
+        with pytest.raises(ValidationError, match=match) as info:
+            load_dataset(root)
+        assert "train_001" in str(info.value)
+
+    @pytest.mark.parametrize("key", ["spec", "frames", "masks", "annotated"])
+    def test_missing_key(self, tmp_path, key):
+        self._rejects(tmp_path, lambda root, case: case.pop(key), key)
+
+    @pytest.mark.parametrize("key", ["frames", "masks"])
+    def test_file_count_differs_from_spec(self, tmp_path, key):
+        self._rejects(tmp_path, lambda root, case: case[key].pop(), f"2 {key}")
+
+    @pytest.mark.parametrize("name", ["frame_01.tnsr", "mask_02.tnsr"])
+    def test_shape_differs_from_spec(self, tmp_path, name):
+        def change(root, case):
+            write_array(root / "train_001" / name, np.zeros((32, 16), np.uint8))
+        self._rejects(tmp_path, change, r"\(32, 16\)")
+
+    @pytest.mark.parametrize("name", ["frame_00.tnsr", "mask_01.tnsr"])
+    def test_truncated_file(self, tmp_path, name):
+        def change(root, case):
+            path = root / "train_001" / name
+            path.write_bytes(path.read_bytes()[:-5])
+        self._rejects(tmp_path, change, "payload size")
+
+    def test_annotated_frame_outside_spec(self, tmp_path):
+        self._rejects(tmp_path, lambda root, case: case.update(annotated=[0, 3]),
+                      "annotated")
