@@ -11,7 +11,7 @@ module drops between any two layers of a segmentation backbone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,29 +77,68 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
                   requires_grad=True)
 
 
-def load_checked(arrays: dict[str, np.ndarray],
-                 slots: dict[str, tuple[object, str]]) -> None:
-    """Set ``owner.attr`` to a copy of ``arrays[name]`` for every named slot.
+def _filled(n: int, value: float, dtype) -> Tensor:
+    return Tensor(np.full(n, value, dtype=dtype), requires_grad=True)
 
-    The one check behind every checkpoint loader: each copy keeps the dtype
-    and must have the shape of the array it replaces. Every slot is checked
-    before any is written, so a rejected checkpoint changes nothing.
+
+class ParameterSet:
+    """Parameter tensors and batch-norm running stats under checkpoint names.
+
+    Each array is named once, where it is made: ``params`` maps a name to its
+    tensor, ``stats`` maps a name to the (state, attribute) of one running
+    statistic. Both keep creation order, so :meth:`named_parameters` lists
+    the tensors in the order their initial values were drawn.
     """
-    loaded = {}
-    for name, (owner, attr) in slots.items():
-        if name not in arrays:
-            raise ValidationError(f"checkpoint is missing tensor {name!r}")
-        current = getattr(owner, attr)
-        if np.shape(arrays[name]) != current.shape:
-            raise ShapeError(f"checkpoint tensor {name} has shape "
-                             f"{np.shape(arrays[name])}, expected {current.shape}")
-        loaded[name] = np.array(arrays[name], dtype=current.dtype, order="C")
-    for name, (owner, attr) in slots.items():
-        setattr(owner, attr, loaded[name])
+
+    def __init__(self):
+        self.params: dict[str, Tensor] = {}
+        self.stats: dict[str, tuple[BatchNormState, str]] = {}
+
+    def param(self, name: str, tensor: Tensor) -> Tensor:
+        self.params[name] = tensor
+        return tensor
+
+    def norm_state(self, prefix: str, state: BatchNormState) -> BatchNormState:
+        """Name the running mean and variance of ``state`` ``prefix + attr``."""
+        for attr in ("running_mean", "running_var"):
+            self.stats[prefix + attr] = (state, attr)
+        return state
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        return dict(self.params)
+
+    def parameter_count(self) -> int:
+        return sum(t.size for t in self.params.values())
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        out = {name: t.data.copy() for name, t in self.params.items()}
+        out.update({name: getattr(state, attr).copy()
+                    for name, (state, attr) in self.stats.items()})
+        return out
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Replace every array with a copy of ``arrays[name]``.
+
+        Each copy keeps the dtype and must have the shape of the array it
+        replaces. Every name is checked before any is written, so a rejected
+        checkpoint changes nothing.
+        """
+        slots = {name: (t, "data") for name, t in self.params.items()}
+        slots.update(self.stats)
+        loaded = {}
+        for name, (owner, attr) in slots.items():
+            if name not in arrays:
+                raise ValidationError(f"checkpoint is missing tensor {name!r}")
+            current = getattr(owner, attr)
+            if np.shape(arrays[name]) != current.shape:
+                raise ShapeError(f"checkpoint tensor {name} has shape "
+                                 f"{np.shape(arrays[name])}, expected {current.shape}")
+            loaded[name] = np.array(arrays[name], dtype=current.dtype, order="C")
+        for name, (owner, attr) in slots.items():
+            setattr(owner, attr, loaded[name])
 
 
-@dataclass
-class TamParams:
+class TamParams(ParameterSet):
     """Learnable weights of one attention module instance.
 
     Query/key/value and output maps are position-wise (1x1) convolutions; the
@@ -107,91 +146,31 @@ class TamParams:
     norm, so the fusion carries no bias of its own.
     """
 
-    config: TamConfig
-    w_q: Tensor
-    b_q: Tensor
-    w_k: Tensor
-    b_k: Tensor
-    w_v: Tensor
-    b_v: Tensor
-    w_g: Tensor
-    b_g: Tensor
-    w_r: Tensor
-    bn_gamma: Tensor
-    bn_beta: Tensor
-    w_o: Tensor
-    bn_state: BatchNormState = field(default=None)  # type: ignore[assignment]
+    def __init__(self, config: TamConfig):
+        super().__init__()
+        self.config = config
 
     @staticmethod
     def initialize(config: TamConfig, rng: np.random.Generator,
                    dtype=np.float32) -> "TamParams":
         c, d, rank = config.channels, config.d_embed, config.spatial_rank
         one = (1,) * rank
-        k_fuse = (3,) * rank
-        fuse_fan = (c + d) * 3 ** rank
-
-        def proj():
-            return (_uniform(rng, (d, c) + one, c, dtype),
-                    _uniform(rng, (d,), c, dtype))
-
-        w_q, b_q = proj()
-        w_k, b_k = proj()
-        w_v, b_v = proj()
-        return TamParams(
-            config=config,
-            w_q=w_q, b_q=b_q, w_k=w_k, b_k=b_k, w_v=w_v, b_v=b_v,
-            w_g=_uniform(rng, (d, d) + one, d, dtype),
-            b_g=Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
-            w_r=_uniform(rng, (c, c + d) + k_fuse, fuse_fan, dtype),
-            bn_gamma=Tensor(np.ones(c, dtype=dtype), requires_grad=True),
-            bn_beta=Tensor(np.zeros(c, dtype=dtype), requires_grad=True),
-            w_o=_uniform(rng, (c, c) + one, c, dtype),
-            bn_state=BatchNormState(c, dtype=dtype),
-        )
-
-    def named_tensors(self) -> dict[str, Tensor]:
-        return {"w_q": self.w_q, "b_q": self.b_q, "w_k": self.w_k, "b_k": self.b_k,
-                "w_v": self.w_v, "b_v": self.b_v, "w_g": self.w_g, "b_g": self.b_g,
-                "w_r": self.w_r, "bn_gamma": self.bn_gamma, "bn_beta": self.bn_beta,
-                "w_o": self.w_o}
-
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.named_tensors().values())
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        out = {name: t.data for name, t in self.named_tensors().items()}
-        out["bn_running_mean"] = self.bn_state.running_mean
-        out["bn_running_var"] = self.bn_state.running_var
-        return out
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        slots = {name: (t, "data") for name, t in self.named_tensors().items()}
-        slots["bn_running_mean"] = (self.bn_state, "running_mean")
-        slots["bn_running_var"] = (self.bn_state, "running_var")
-        load_checked(arrays, slots)
-
-    def save(self, directory) -> None:
-        """Write the parameters as a TNSR bundle; the config rides in the manifest."""
-        from .tnsr import write_bundle
-        write_bundle(directory, self.to_arrays(),
-                     meta={"module": "tam",
-                           "config": {"channels": self.config.channels,
-                                      "d_embed": self.config.d_embed,
-                                      "heads": self.config.heads,
-                                      "spatial_rank": self.config.spatial_rank}})
-
-    @staticmethod
-    def load(directory) -> "TamParams":
-        """Rebuild a parameter set from a bundle written by :meth:`save`."""
-        from .tnsr import read_bundle
-        arrays, meta = read_bundle(directory)
-        if meta.get("module") != "tam":
-            raise ValidationError(f"{directory} does not hold attention parameters")
-        cfg = TamConfig(**meta["config"])
-        dtype = arrays["w_q"].dtype if "w_q" in arrays else np.float32
-        params = TamParams.initialize(cfg, np.random.default_rng(0), dtype=dtype)
-        params.load_arrays(arrays)
-        return params
+        p = TamParams(config)
+        p.w_q = p.param("w_q", _uniform(rng, (d, c) + one, c, dtype))
+        p.b_q = p.param("b_q", _uniform(rng, (d,), c, dtype))
+        p.w_k = p.param("w_k", _uniform(rng, (d, c) + one, c, dtype))
+        p.b_k = p.param("b_k", _uniform(rng, (d,), c, dtype))
+        p.w_v = p.param("w_v", _uniform(rng, (d, c) + one, c, dtype))
+        p.b_v = p.param("b_v", _uniform(rng, (d,), c, dtype))
+        p.w_g = p.param("w_g", _uniform(rng, (d, d) + one, d, dtype))
+        p.b_g = p.param("b_g", _filled(d, 0.0, dtype))
+        p.w_r = p.param("w_r", _uniform(rng, (c, c + d) + (3,) * rank,
+                                        (c + d) * 3 ** rank, dtype))
+        p.bn_gamma = p.param("bn_gamma", _filled(c, 1.0, dtype))
+        p.bn_beta = p.param("bn_beta", _filled(c, 0.0, dtype))
+        p.w_o = p.param("w_o", _uniform(rng, (c, c) + one, c, dtype))
+        p.bn_state = p.norm_state("bn_", BatchNormState(c, dtype=dtype))
+        return p
 
 
 # -- the four stages ---------------------------------------------------------

@@ -212,16 +212,26 @@ def _save_checkpoint(path: Path, model, cfg: ExperimentConfig, step: int,
 
 
 def load_checkpoint(path) -> tuple[object, ExperimentConfig, dict]:
-    """Rebuild the model stored in a checkpoint bundle."""
-    arrays, meta = read_bundle(path)
-    cfg = ExperimentConfig.from_json_dict(meta["config"])
+    """Rebuild the model stored in a checkpoint bundle.
+
+    A foreign or malformed manifest, a truncated tensor file or a manifest
+    whose ``meta`` has no ``config`` raises :class:`ValidationError` naming
+    the checkpoint directory.
+    """
+    try:
+        arrays, meta = read_bundle(path)
+        cfg = ExperimentConfig.from_json_dict(meta["config"])
+    except KeyError as exc:
+        raise ValidationError(f"checkpoint {path}: manifest has no {exc} entry") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"checkpoint {path}: {exc}") from exc
     model = build_model(cfg.config_id, cfg.backbone(), np.random.default_rng(0))
     model.load_arrays(arrays)
     return model, cfg, meta
 
 
 def evaluate(checkpoint, dataset: str, outdir, split: str = "test",
-             oracle: bool = False, labels: list[int] | None = None) -> dict:
+             oracle: bool = False) -> dict:
     """Evaluate a checkpoint (or the identity oracle) on a dataset split.
 
     Emits metrics.csv, metrics.json, and per-metric ECDF CSVs into ``outdir``.
@@ -258,10 +268,8 @@ def evaluate(checkpoint, dataset: str, outdir, split: str = "test",
                                                   sample.masks[idx].spacing)
         for idx in sorted(preds):
             truth = sample.masks[idx]
-            use_labels = labels if labels is not None else sorted(
-                set(np.unique(truth.labels)) - {0})
-            report.add_case(case_id, idx, preds[idx], truth,
-                            [int(v) for v in use_labels])
+            labels = [int(v) for v in np.unique(truth.labels) if v]
+            report.add_case(case_id, idx, preds[idx], truth, labels)
 
     result = {
         "artifact_version": __version__,

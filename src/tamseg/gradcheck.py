@@ -51,28 +51,21 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray,
     return float(np.max(err))
 
 
-def check_gradients(build_loss, tensors: dict[str, Tensor], *, step: float = STEP,
-                    reset=None, sample: int | None = None,
+def check_gradients(build_loss, tensors: dict[str, Tensor], *,
+                    sample: int | None = None,
                     rng: np.random.Generator | None = None,
                     abs_floor: float = 0.0) -> float:
     """Compare reverse-mode grads of the scalar ``build_loss()`` to central differences.
 
     ``build_loss`` must recompute the loss from the tensors' current ``data``
-    and be free of randomness; ``reset`` (if given) runs before every
-    evaluation to restore any state the forward pass mutates, e.g. batch-norm
-    running statistics. ``sample`` limits the check to that many randomly
-    chosen coordinates per tensor. Returns the worst relative error.
+    and be free of randomness; a loss that runs batch norm in training mode
+    qualifies, since that mode never reads the running statistics it
+    updates. ``sample`` limits the check to that many randomly chosen
+    coordinates per tensor. Returns the worst relative error.
     """
     for t in tensors.values():
         t.grad = None
-    if reset is not None:
-        reset()
     backward(build_loss())
-
-    def evaluate() -> float:
-        if reset is not None:
-            reset()
-        return build_loss().item()
 
     worst = 0.0
     for name, t in tensors.items():
@@ -90,12 +83,12 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *, step: float = STE
         numeric = np.empty(coords.size, dtype=np.float64)
         for out_idx, i in enumerate(coords):
             saved = flat[i]
-            flat[i] = saved + step
-            plus = evaluate()
-            flat[i] = saved - step
-            minus = evaluate()
+            flat[i] = saved + STEP
+            plus = build_loss().item()
+            flat[i] = saved - STEP
+            minus = build_loss().item()
             flat[i] = saved
-            numeric[out_idx] = (plus - minus) / (2.0 * step)
+            numeric[out_idx] = (plus - minus) / (2.0 * STEP)
         worst = max(worst, relative_error(analytic.reshape(-1)[coords], numeric,
                                           abs_floor=abs_floor))
     return worst
@@ -259,11 +252,6 @@ def run_tam_suite(seeds=range(3)) -> list[GradCheckResult]:
         params = TamParams.initialize(cfg, rng, dtype=np.float64)
         frames = [_rand(rng, (8, 4, 4)) for _ in range(2)]
         weights = [Tensor(rng.uniform(-1.0, 1.0, size=(8, 4, 4))) for _ in range(2)]
-        saved_state = params.bn_state.copy()
-
-        def reset():
-            params.bn_state.running_mean[:] = saved_state.running_mean
-            params.bn_state.running_var[:] = saved_state.running_var
 
         def build_loss():
             out = tam_forward(FeatureStack(frames=list(frames)), params,
@@ -275,11 +263,11 @@ def run_tam_suite(seeds=range(3)) -> list[GradCheckResult]:
             return total
 
         tensors = {f"frame_{i}": f for i, f in enumerate(frames)}
-        tensors.update(params.named_tensors())
+        tensors.update(params.named_parameters())
         # the key bias shifts all logits of a query row equally, and softmax
         # cancels per-row shifts, so its true gradient is identically zero;
         # the floor keeps that exact zero from failing a relative comparison
-        err = check_gradients(build_loss, tensors, reset=reset, abs_floor=1e-7)
+        err = check_gradients(build_loss, tensors, abs_floor=1e-7)
         results.append(GradCheckResult(f"tam_seed{seed}", err, TOLERANCE))
     return results
 
@@ -300,10 +288,6 @@ def run_end2end_suite(seeds=range(2)) -> list[GradCheckResult]:
         frames = [_rand(rng, (1, 8, 8), -0.5, 0.5) for _ in range(2)]
         labels = rng.integers(0, 3, size=(8, 8))
         truth = one_hot(labels, 3, dtype=np.float64)
-        saved = model.state_arrays()
-
-        def reset():
-            model.load_state_arrays(saved)
 
         def build_loss():
             probs = model.forward(frames, training=True)
@@ -312,8 +296,8 @@ def run_end2end_suite(seeds=range(2)) -> list[GradCheckResult]:
         tensors = dict(model.named_parameters())
         tensors.update({f"frame_{i}": f for i, f in enumerate(frames)})
         coord_rng = np.random.default_rng(seed + 1000)
-        err = check_gradients(build_loss, tensors, reset=reset, sample=4,
-                              rng=coord_rng, abs_floor=1e-7)
+        err = check_gradients(build_loss, tensors, sample=4, rng=coord_rng,
+                              abs_floor=1e-7)
         results.append(GradCheckResult(f"end2end_seed{seed}", err, TOLERANCE))
     return results
 

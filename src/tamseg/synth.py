@@ -232,7 +232,9 @@ def load_dataset(root) -> dict[str, list[SequenceSample]]:
 
     A case whose manifest entry lacks a key, or whose entry or files do not
     fit its spec (file count, annotated frame ids, array shape, unreadable
-    array), raises :class:`ValidationError` naming the case.
+    array), raises :class:`ValidationError` naming the case. So does a frame
+    that is not float32 or a mask that is not u8, since a cast would
+    silently turn a u8 image or a fractional label into something else.
     """
     root = Path(root)
     manifest = read_json(root / "manifest.json")
@@ -259,7 +261,7 @@ def _load_case(root: Path, case: dict, case_id: str) -> SequenceSample:
         raise ValidationError(f"{where}: annotated frames {annotated} outside "
                               f"its {spec.frames} frames")
 
-    def read(name: str) -> np.ndarray:
+    def read(name: str, dtype) -> np.ndarray:
         try:
             arr = read_array(root / name)
         except ValueError as exc:
@@ -267,10 +269,13 @@ def _load_case(root: Path, case: dict, case_id: str) -> SequenceSample:
         if arr.shape != spec.extents:
             raise ValidationError(f"{where}: {name} has shape {arr.shape}, "
                                   f"its spec has extents {spec.extents}")
+        if arr.dtype != dtype:
+            raise ValidationError(f"{where}: {name} holds {arr.dtype}, "
+                                  f"expected {np.dtype(dtype)}")
         return arr
 
-    images = [read(f).astype(np.float32) for f in files["frames"]]
-    masks = [SegmentationMask(read(f).astype(np.int64), spec.spacing)
+    images = [read(f, np.float32) for f in files["frames"]]
+    masks = [SegmentationMask(read(f, np.uint8).astype(np.int64), spec.spacing)
              for f in files["masks"]]
     return SequenceSample(spec=spec, images=images, masks=masks,
                           annotated=annotated)

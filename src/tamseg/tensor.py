@@ -804,12 +804,6 @@ class BatchNormState:
         self.running_mean = np.zeros(channels, dtype=_as_dtype(dtype))
         self.running_var = np.ones(channels, dtype=_as_dtype(dtype))
 
-    def copy(self) -> "BatchNormState":
-        dup = BatchNormState(len(self.running_mean), dtype=self.running_mean.dtype)
-        dup.running_mean = self.running_mean.copy()
-        dup.running_var = self.running_var.copy()
-        return dup
-
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:

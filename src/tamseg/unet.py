@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (FeatureStack, TamConfig, TamParams, _uniform,
-                        load_checked, tam_forward)
+from .attention import (FeatureStack, ParameterSet, TamConfig, TamParams,
+                        _filled, _uniform, tam_forward)
 from .errors import ShapeError, ValidationError
 from .tensor import (BatchNormState, Tensor, batch_norm, concat, conv_nd,
                      max_pool, relu, reshape, slice_axis, softmax,
@@ -80,38 +80,29 @@ class BackboneConfig:
 class _ConvBN:
     """3^rank convolution (bias folded into the norm) + batch norm + ReLU."""
 
-    def __init__(self, c_in: int, c_out: int, rank: int, rng, dtype):
+    def __init__(self, owner: ParameterSet, name: str, c_in: int, c_out: int,
+                 rank: int, rng, dtype):
         kshape = (c_out, c_in) + (3,) * rank
-        self.w = _uniform(rng, kshape, c_in * 3 ** rank, dtype)
-        self.gamma = Tensor(np.ones(c_out, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
-        self.state = BatchNormState(c_out, dtype=dtype)
+        self.w = owner.param(f"{name}.w", _uniform(rng, kshape, c_in * 3 ** rank, dtype))
+        self.gamma = owner.param(f"{name}.gamma", _filled(c_out, 1.0, dtype))
+        self.beta = owner.param(f"{name}.beta", _filled(c_out, 0.0, dtype))
+        self.state = owner.norm_state(f"{name}.", BatchNormState(c_out, dtype=dtype))
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         y = conv_nd(x, self.w)
         return relu(batch_norm(y, self.gamma, self.beta, self.state, training))
 
-    def tensors(self) -> dict[str, Tensor]:
-        return {"w": self.w, "gamma": self.gamma, "beta": self.beta}
-
 
 class _Block:
     """Two stacked conv-norm-ReLU units, the repeating backbone element."""
 
-    def __init__(self, c_in: int, c_out: int, rank: int, rng, dtype):
-        self.a = _ConvBN(c_in, c_out, rank, rng, dtype)
-        self.b = _ConvBN(c_out, c_out, rank, rng, dtype)
+    def __init__(self, owner: ParameterSet, name: str, c_in: int, c_out: int,
+                 rank: int, rng, dtype):
+        self.a = _ConvBN(owner, f"{name}.a", c_in, c_out, rank, rng, dtype)
+        self.b = _ConvBN(owner, f"{name}.b", c_out, c_out, rank, rng, dtype)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return self.b(self.a(x, training), training)
-
-    def tensors(self) -> dict[str, Tensor]:
-        out = {f"a.{k}": v for k, v in self.a.tensors().items()}
-        out.update({f"b.{k}": v for k, v in self.b.tensors().items()})
-        return out
-
-    def states(self) -> dict[str, BatchNormState]:
-        return {"a": self.a.state, "b": self.b.state}
 
 
 def check_extent(config: BackboneConfig, spatial, error=ValidationError) -> None:
@@ -138,40 +129,49 @@ def check_time_conv(config: BackboneConfig) -> None:
         raise ValidationError("time-as-channel baseline takes no insertion slots")
 
 
-class _UNet:
-    """The one encoder-decoder: layer build, walk, plumbing and I/O.
+class _UNet(ParameterSet):
+    """The one encoder-decoder: layer build, walk and frame validation.
 
-    With ``FOLD_TIME`` the frames are stacked on a leading time axis into one
-    volume: the walk carries a one-element feature list, every convolution
-    gains a width-3 time dimension, pooling and upsampling act on space only,
-    and the head's output is unstacked into per-frame maps.
+    Every tensor and running stat is named as it is made, so the checkpoint
+    names, their order and the arrays they hold come from one place
+    (:class:`ParameterSet`). With ``FOLD_TIME`` the frames are stacked on a
+    leading time axis into one volume: the walk carries a one-element feature
+    list, every convolution gains a width-3 time dimension, pooling and
+    upsampling act on space only, and the head's output is unstacked into
+    per-frame maps.
     """
 
     FOLD_TIME = False
 
     def __init__(self, config: BackboneConfig, rng: np.random.Generator,
                  dtype=np.float32):
+        super().__init__()
         self.config = config
         ch = config.channels
         rank = config.spatial_rank + self.FOLD_TIME
-        self.enc = []
-        for lvl in range(config.levels):
-            c_in = config.in_channels if lvl == 0 else ch[lvl - 1]
-            self.enc.append(_Block(c_in, ch[lvl], rank, rng, dtype))
+        self.enc = [_Block(self, f"enc{lvl + 1}",
+                           config.in_channels if lvl == 0 else ch[lvl - 1],
+                           ch[lvl], rank, rng, dtype)
+                    for lvl in range(config.levels)]
         self.dec = []
         for lvl in range(config.levels - 2, -1, -1):
-            up_w = _uniform(rng, (ch[lvl], ch[lvl + 1]) + (3,) * rank,
-                            ch[lvl + 1] * 3 ** rank, dtype)
-            up_b = Tensor(np.zeros(ch[lvl], dtype=dtype), requires_grad=True)
-            block = _Block(2 * ch[lvl], ch[lvl], rank, rng, dtype)
-            self.dec.append({"level": lvl, "up_w": up_w, "up_b": up_b,
-                             "block": block})
-        self.head_w = _uniform(rng, (config.classes, ch[0]) + (1,) * rank,
-                               ch[0], dtype)
-        self.head_b = Tensor(np.zeros(config.classes, dtype=dtype),
-                             requires_grad=True)
-        self.tams = {slot: TamParams.initialize(config.tam_config(slot), rng, dtype)
-                     for slot in sorted(config.insertion_set)}
+            name = f"dec{lvl + 1}"
+            up_w = self.param(f"{name}.up.w", _uniform(
+                rng, (ch[lvl], ch[lvl + 1]) + (3,) * rank, ch[lvl + 1] * 3 ** rank,
+                dtype))
+            up_b = self.param(f"{name}.up.b", _filled(ch[lvl], 0.0, dtype))
+            block = _Block(self, name, 2 * ch[lvl], ch[lvl], rank, rng, dtype)
+            self.dec.append((lvl, up_w, up_b, block))
+        self.head_w = self.param("head.w", _uniform(
+            rng, (config.classes, ch[0]) + (1,) * rank, ch[0], dtype))
+        self.head_b = self.param("head.b", _filled(config.classes, 0.0, dtype))
+        self.tams = {}
+        for slot in sorted(config.insertion_set):
+            tam = self.tams[slot] = TamParams.initialize(config.tam_config(slot),
+                                                         rng, dtype)
+            for name, t in tam.params.items():
+                self.param(f"tam.{slot}.{name}", t)
+            self.norm_state(f"tam.{slot}.", tam.bn_state)
 
     # -- forward -------------------------------------------------------------
 
@@ -220,15 +220,13 @@ class _UNet:
             if lvl < cfg.levels - 1:
                 skips[lvl] = feats
         x = feats
-        for stage in self.dec:
-            lvl = stage["level"]
-            x = [conv_nd(upsample_nearest(f, factor), stage["up_w"], stage["up_b"])
-                 for f in x]
+        for lvl, up_w, up_b, block in self.dec:
+            x = [conv_nd(upsample_nearest(f, factor), up_w, up_b) for f in x]
             slot = f"D{lvl + 1}"
             if slot in self.tams:
                 x = tam_forward(FeatureStack(frames=x), self.tams[slot],
                                 training).frames
-            x = [stage["block"](concat([skips[lvl][t], x[t]], axis=0), training)
+            x = [block(concat([skips[lvl][t], x[t]], axis=0), training)
                  for t in range(len(x))]
         logits = [conv_nd(f, self.head_w, self.head_b) for f in x]
         if not self.FOLD_TIME:
@@ -236,59 +234,6 @@ class _UNet:
         out_shape = (cfg.classes,) + shape[1:]
         return [reshape(slice_axis(logits[0], 1, i, i + 1), out_shape)
                 for i in range(len(frames))]
-
-    # -- parameter plumbing ----------------------------------------------------
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for lvl, block in enumerate(self.enc):
-            for k, v in block.tensors().items():
-                out[f"enc{lvl + 1}.{k}"] = v
-        for stage in self.dec:
-            lvl = stage["level"] + 1
-            out[f"dec{lvl}.up.w"] = stage["up_w"]
-            out[f"dec{lvl}.up.b"] = stage["up_b"]
-            for k, v in stage["block"].tensors().items():
-                out[f"dec{lvl}.{k}"] = v
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        for slot, tam in self.tams.items():
-            for k, v in tam.named_tensors().items():
-                out[f"tam.{slot}.{k}"] = v
-        return out
-
-    def _state_slots(self) -> dict[str, tuple[BatchNormState, str]]:
-        """Checkpoint name -> (batch-norm state, attribute) of every running stat."""
-        states: dict[str, BatchNormState] = {}
-        for lvl, block in enumerate(self.enc):
-            for k, st in block.states().items():
-                states[f"enc{lvl + 1}.{k}"] = st
-        for stage in self.dec:
-            for k, st in stage["block"].states().items():
-                states[f"dec{stage['level'] + 1}.{k}"] = st
-        for slot, tam in self.tams.items():
-            states[f"tam.{slot}"] = tam.bn_state
-        return {f"{name}.{attr}": (st, attr) for name, st in states.items()
-                for attr in ("running_mean", "running_var")}
-
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.named_parameters().values())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(st, attr).copy()
-                for name, (st, attr) in self._state_slots().items()}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        load_checked(arrays, self._state_slots())
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        out = {name: t.data.copy() for name, t in self.named_parameters().items()}
-        out.update(self.state_arrays())
-        return out
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        slots = {name: (t, "data") for name, t in self.named_parameters().items()}
-        load_checked(arrays, {**slots, **self._state_slots()})
 
 
 # The benchmark tracer wraps ``forward`` on each of the two public classes, so
@@ -319,13 +264,11 @@ class Configuration:
     config_id: str
     slots: frozenset[str] = frozenset()
     time_conv: bool = False
-    note: str = ""
 
 
 CONFIGURATIONS: dict[str, Configuration] = {
-    "C1": Configuration("C1", note="per-frame baseline, no temporal exchange"),
-    "C2": Configuration("C2", time_conv=True,
-                        note="time-as-channel convolutional baseline"),
+    "C1": Configuration("C1"),
+    "C2": Configuration("C2", time_conv=True),
     "C3": Configuration("C3", frozenset({"E5"})),
     "C4": Configuration("C4", frozenset({"E4", "E5"})),
     "C5": Configuration("C5", frozenset({"E3", "E4", "E5"})),

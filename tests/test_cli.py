@@ -1,9 +1,10 @@
 """Exit codes, output files, and rerun determinism of the command line."""
 
 import numpy as np
+import pytest
 
 from tamseg.cli import main
-from tamseg.tnsr import read_json, write_array
+from tamseg.tnsr import read_json, write_array, write_json
 
 
 def run(*argv):
@@ -104,6 +105,28 @@ class TestTrainEval:
         code = run("eval", "--checkpoint", str(tmp_path / "nope"),
                    "--dataset", str(ds), "--out", str(tmp_path / "eval"))
         assert code == 2
+
+    @pytest.mark.parametrize("damage", ["truncated_tensor", "foreign_format",
+                                        "no_config"])
+    def test_damaged_checkpoint_exit_1(self, tmp_path, capsys, damage):
+        ds = gen_tiny(tmp_path)
+        ckpt = tmp_path / "run" / "checkpoint_best"
+        assert run(*self.train_args(ds, tmp_path / "run", steps="2")) == 0
+        manifest = read_json(ckpt / "manifest.json")
+        if damage == "truncated_tensor":
+            head = ckpt / "head.w.tnsr"
+            head.write_bytes(head.read_bytes()[:-4])
+        elif damage == "foreign_format":
+            manifest["format"] = "zip-bundle"
+        else:
+            del manifest["meta"]["config"]
+        write_json(ckpt / "manifest.json", manifest)
+        capsys.readouterr()
+        code = run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                   "--out", str(tmp_path / "eval"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and str(ckpt) in err
 
     def test_divergence_maps_to_exit_2(self, tmp_path, capsys):
         ds = gen_tiny(tmp_path)

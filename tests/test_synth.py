@@ -258,6 +258,21 @@ class TestDatasetRejects:
             path.write_bytes(path.read_bytes()[:-5])
         self._rejects(tmp_path, change, "payload size")
 
+    def test_float_mask_rejected(self, tmp_path):
+        # a cast to int would silently relabel 0.7 as 0 and 1.4 as 1
+        def change(root, case):
+            labels = np.zeros((32, 32), np.float32)
+            labels[:8] = 0.7
+            labels[8:16] = 1.4
+            write_array(root / "train_001" / "mask_00.tnsr", labels)
+        self._rejects(tmp_path, change, "mask_00.tnsr holds float32")
+
+    def test_u8_frame_rejected(self, tmp_path):
+        def change(root, case):
+            write_array(root / "train_001" / "frame_01.tnsr",
+                        np.ones((32, 32), np.uint8))
+        self._rejects(tmp_path, change, "frame_01.tnsr holds uint8")
+
     def test_annotated_frame_outside_spec(self, tmp_path):
         self._rejects(tmp_path, lambda root, case: case.update(annotated=[0, 3]),
                       "annotated")
