@@ -24,7 +24,7 @@ from .losses import dice_ce_loss, one_hot
 from .metrics import MetricReport, SegmentationMask, ecdf_csv
 from .optim import Adam
 from .synth import SequenceSpec, load_dataset, write_dataset
-from .tensor import Tensor, assert_finite, backward
+from .tensor import Tensor, assert_finite, backward, no_grad
 from .tnsr import atomic_write_text, read_bundle, write_bundle, write_json
 from .unet import BackboneConfig, build_model, lookup_configuration
 
@@ -115,8 +115,9 @@ def train(cfg: ExperimentConfig, log=None) -> dict:
     """Train one configuration; returns a summary dict.
 
     Writes into ``cfg.outdir``: config.json, loss_curve.csv, summary.json,
-    and checkpoint bundles (best validation and last step). Aborts with
-    :class:`NumericError` on a non-finite loss.
+    and checkpoint bundles (best validation and last step). Validation
+    passes run under ``tensor.no_grad``. Aborts with :class:`NumericError`
+    on a non-finite loss.
     """
     if not cfg.dataset:
         raise ValidationError("config has no dataset path")
@@ -141,8 +142,9 @@ def train(cfg: ExperimentConfig, log=None) -> dict:
 
     def val_loss() -> float:
         total = 0.0
-        for s in val_cases:
-            total += _case_loss(model, s, indices_for[id(s)], training=False).item()
+        with no_grad():
+            for s in val_cases:
+                total += _case_loss(model, s, indices_for[id(s)], training=False).item()
         return total / len(val_cases)
 
     curve_rows = [("step", "split", "loss")]
@@ -235,8 +237,9 @@ def evaluate(checkpoint, dataset: str, outdir, split: str = "test",
     """Evaluate a checkpoint (or the identity oracle) on a dataset split.
 
     Emits metrics.csv, metrics.json, and per-metric ECDF CSVs into ``outdir``.
-    ``oracle=True`` scores the ground-truth masks against themselves,
-    exercising the full reporting path with known-perfect values.
+    The model runs under ``tensor.no_grad``. ``oracle=True`` scores the
+    ground-truth masks against themselves, exercising the full reporting
+    path with known-perfect values.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -260,7 +263,8 @@ def evaluate(checkpoint, dataset: str, outdir, split: str = "test",
                 preds[idx] = sample.masks[idx]
         else:
             frames = [Tensor(sample.images[i][None]) for i in indices]
-            probs = model.forward(frames, training=False)
+            with no_grad():
+                probs = model.forward(frames, training=False)
             for pos, idx in enumerate(indices):
                 if idx in sample.annotated:
                     pred_labels = np.argmax(probs[pos].data, axis=0).astype(np.int64)

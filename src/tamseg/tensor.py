@@ -14,7 +14,8 @@ Two rules keep the gradient code simple enough to verify by hand:
 
 Multiply-accumulate counts for ``matmul`` and ``conv_nd`` are recorded on
 an active :class:`MacCounter` (see :func:`count_macs`), which the analytic
-cost model is tested against.
+cost model is tested against. Under :func:`no_grad` ops record no graph, so
+an inference forward keeps only its outputs alive.
 """
 
 from __future__ import annotations
@@ -189,6 +190,8 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -
     else:
         out = Tensor(data, dtype=data.dtype)
     out._op = op
+    if getattr(_LOCAL, "no_grad", False):
+        return out
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True
@@ -216,7 +219,9 @@ def backward(loss: Tensor) -> None:
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
-        raise ValueError("loss does not require grad; nothing to backpropagate")
+        raise ValueError("loss does not require grad; nothing to backpropagate "
+                         "(it was made under tensor.no_grad() or from tensors "
+                         "that do not require grad)")
     if loss.grad is None:
         loss.grad = Tensor(np.zeros_like(loss.data))
     loss.grad.data += np.ones_like(loss.data)
@@ -252,9 +257,28 @@ def assert_finite(t: Tensor, what: str = "tensor") -> Tensor:
     return t
 
 
-# -- MAC instrumentation -----------------------------------------------------
-
+# per-thread engine state: the no_grad flag and the MAC counter stack
 _LOCAL = threading.local()
+
+
+@contextmanager
+def no_grad():
+    """Context manager under which ops on this thread record no graph.
+
+    Outputs made inside it carry no parents, no backward closure and
+    ``requires_grad`` False, so nothing but the outputs themselves stays
+    alive; shape checks and MAC counts are unchanged. It nests, and the
+    previous setting returns when the body exits, also by an exception.
+    """
+    before = getattr(_LOCAL, "no_grad", False)
+    _LOCAL.no_grad = True
+    try:
+        yield
+    finally:
+        _LOCAL.no_grad = before
+
+
+# -- MAC instrumentation -----------------------------------------------------
 
 
 class MacCounter:
@@ -476,9 +500,9 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(int(x) for x in axes)
-    inverse = np.argsort(axes)
 
     def back(g):
+        inverse = sorted(range(len(axes)), key=axes.__getitem__)
         _accum(a, np.ascontiguousarray(g.transpose(inverse)))
 
     return _result(np.ascontiguousarray(a.data.transpose(axes)), (a,), back, "transpose")
@@ -496,13 +520,14 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                              f"incompatible along axis {axis}")
         if t.dtype != tensors[0].dtype:
             raise ShapeError("concat: dtypes differ")
-    extents = [t.shape[ax] for t in tensors]
-    offsets = np.cumsum([0] + extents)
 
     def back(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        start = 0
+        for t in tensors:
+            stop = start + t.shape[ax]
             idx = tuple(slice(None) if d != ax else slice(start, stop) for d in range(g.ndim))
             _accum(t, np.ascontiguousarray(g[idx]))
+            start = stop
 
     return _result(np.concatenate([t.data for t in tensors], axis=ax),
                    tuple(tensors), back, "concat")
@@ -823,17 +848,21 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
     if training:
         mu = x.data.mean(axis=axes) if axes else x.data.copy()
-        var = x.data.var(axis=axes) if axes else np.zeros_like(x.data)
+        centered = x.data - mu.reshape(bshape)
+        # the steps of numpy's var, reusing the mean and the centered input
+        var = ((centered * centered).sum(axis=axes) / math.prod(x.shape[1:])
+               if axes else np.zeros_like(x.data))
         state.running_mean = ((1 - momentum) * state.running_mean
-                              + momentum * mu).astype(state.running_mean.dtype)
+                              + momentum * mu).astype(state.running_mean.dtype, copy=False)
         state.running_var = ((1 - momentum) * state.running_var
-                             + momentum * var).astype(state.running_var.dtype)
+                             + momentum * var).astype(state.running_var.dtype, copy=False)
     else:
-        mu = state.running_mean.astype(x.dtype)
-        var = state.running_var.astype(x.dtype)
+        mu = state.running_mean.astype(x.dtype, copy=False)
+        var = state.running_var.astype(x.dtype, copy=False)
+        centered = x.data - mu.reshape(bshape)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mu.reshape(bshape)) * inv_std.reshape(bshape)
+    x_hat = centered * inv_std.reshape(bshape)
     out_data = gamma.data.reshape(bshape) * x_hat + beta.data.reshape(bshape)
 
     def back(g):

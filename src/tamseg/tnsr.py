@@ -107,11 +107,23 @@ def write_bundle(directory: str | Path, arrays: dict[str, np.ndarray],
 
 
 def read_bundle(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a TNSR bundle back into (arrays, metadata)."""
+    """Read a TNSR bundle back into (arrays, metadata).
+
+    A manifest of the wrong JSON types, or one that names a tensor file
+    other than a plain file name inside the bundle, raises ``ValueError``.
+    """
     directory = Path(directory)
     manifest = read_json(directory / "manifest.json")
-    if manifest.get("format") != "tnsr-bundle":
+    if not isinstance(manifest, dict) or manifest.get("format") != "tnsr-bundle":
         raise ValueError(f"{directory}: not a TNSR bundle")
-    arrays = {name: read_array(directory / fname)
-              for name, fname in manifest["tensors"].items()}
-    return arrays, manifest.get("meta", {})
+    files, meta = manifest["tensors"], manifest.get("meta", {})
+    if not isinstance(files, dict) or not all(isinstance(f, str) for f in files.values()):
+        raise ValueError(f"{directory}: manifest 'tensors' is not an object of file names")
+    if not isinstance(meta, dict):
+        raise ValueError(f"{directory}: manifest 'meta' is not an object")
+    for fname in files.values():
+        if "/" in fname or fname in ("", ".", ".."):
+            raise ValueError(f"{directory}: tensor file {fname!r} is not a plain "
+                             "file name inside the bundle")
+    arrays = {name: read_array(directory / fname) for name, fname in files.items()}
+    return arrays, meta

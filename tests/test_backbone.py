@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tamseg.errors import ShapeError, ValidationError
-from tamseg.tensor import Tensor
+from tamseg.tensor import Tensor, count_macs, no_grad
 from tamseg.unet import (CONFIGURATIONS, BackboneConfig, TimeConvUNet,
                          UNetBackbone, build_model, list_configurations,
                          valid_slots)
@@ -168,6 +168,38 @@ class TestFrameCoupling:
         again = model.forward_logits([f0, small_frames(rng)[0]],
                                      training=True)[0].data
         assert np.max(np.abs(base - again)) > 1e-6
+
+
+class TestNoGradForward:
+    """Inference under ``no_grad`` computes and counts exactly what the
+    recording forward does, and keeps no graph."""
+
+    BASE = BackboneConfig(levels=5, channels=(2, 4, 6, 8, 10), heads=1)
+
+    def _run(self, cid, t, training, switch):
+        model = build_model(cid, self.BASE, np.random.default_rng(31))
+        frames = small_frames(np.random.default_rng(32), t=t, size=32)
+        with count_macs() as counter:
+            if switch:
+                with no_grad():
+                    probs = model.forward(frames, training=training)
+            else:
+                probs = model.forward(frames, training=training)
+        return probs, counter.total, model.to_arrays()
+
+    @pytest.mark.parametrize("cid,t", [("C1", 2), ("C2", 3), ("C4", 3)])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_same_bytes_and_macs(self, cid, t, training):
+        plain, plain_macs, plain_state = self._run(cid, t, training, switch=False)
+        quiet, quiet_macs, quiet_state = self._run(cid, t, training, switch=True)
+        assert quiet_macs == plain_macs > 0
+        assert all(p.requires_grad for p in plain)
+        for a, b in zip(plain, quiet):
+            assert a.data.tobytes() == b.data.tobytes()
+            assert not b.requires_grad and b._parents == () and b._backward is None
+        # training-mode running statistics update identically too
+        for name, arr in plain_state.items():
+            assert arr.tobytes() == quiet_state[name].tobytes(), name
 
 
 class TestParameterCounts:

@@ -107,7 +107,8 @@ class TestTrainEval:
         assert code == 2
 
     @pytest.mark.parametrize("damage", ["truncated_tensor", "foreign_format",
-                                        "no_config"])
+                                        "no_config", "tensors_list",
+                                        "file_outside_bundle"])
     def test_damaged_checkpoint_exit_1(self, tmp_path, capsys, damage):
         ds = gen_tiny(tmp_path)
         ckpt = tmp_path / "run" / "checkpoint_best"
@@ -118,6 +119,12 @@ class TestTrainEval:
             head.write_bytes(head.read_bytes()[:-4])
         elif damage == "foreign_format":
             manifest["format"] = "zip-bundle"
+        elif damage == "tensors_list":
+            manifest["tensors"] = sorted(manifest["tensors"])
+        elif damage == "file_outside_bundle":
+            # a valid tensor file, but reached through the parent directory
+            (ckpt.parent / "head.w.tnsr").write_bytes((ckpt / "head.w.tnsr").read_bytes())
+            manifest["tensors"]["head.w"] = "../head.w.tnsr"
         else:
             del manifest["meta"]["config"]
         write_json(ckpt / "manifest.json", manifest)

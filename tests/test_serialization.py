@@ -95,6 +95,22 @@ class TestBundles:
         with pytest.raises(ValueError):
             read_bundle(tmp_path / "d")
 
+    @pytest.mark.parametrize("manifest", [
+        ["tnsr-bundle"],
+        {"format": "tnsr-bundle", "tensors": ["a"], "meta": {}},
+        {"format": "tnsr-bundle", "tensors": {"a": 3}, "meta": {}},
+        {"format": "tnsr-bundle", "tensors": {"a": "a.tnsr"}, "meta": []},
+        {"format": "tnsr-bundle", "tensors": {"a": "../a.tnsr"}, "meta": {}},
+        {"format": "tnsr-bundle", "tensors": {"a": "sub/a.tnsr"}, "meta": {}},
+        {"format": "tnsr-bundle", "tensors": {"a": ".."}, "meta": {}},
+    ])
+    def test_hostile_manifest_types_rejected(self, tmp_path, manifest):
+        write_array(tmp_path / "a.tnsr", np.zeros(1, dtype=np.float32))
+        write_array(tmp_path / "d" / "sub" / "a.tnsr", np.zeros(1, dtype=np.float32))
+        write_json(tmp_path / "d" / "manifest.json", manifest)
+        with pytest.raises(ValueError):
+            read_bundle(tmp_path / "d")
+
 
 class TestJson:
     def test_round_trip_and_key_order(self, tmp_path):

@@ -506,3 +506,57 @@ class TestMacCounting:
                 T.matmul(a, b)
         assert inner.total == 8
         assert outer.total == 8  # counts route to the innermost scope only
+
+
+class TestNoGrad:
+    @staticmethod
+    def _leaf(rng, *shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    def test_outputs_record_no_graph(self):
+        rng = np.random.default_rng(30)
+        x, k, m = self._leaf(rng, 2, 6, 6), self._leaf(rng, 3, 2, 3, 3), self._leaf(rng, 4, 4)
+        gamma, beta = self._leaf(rng, 3), self._leaf(rng, 3)
+        with T.no_grad():
+            conv = T.conv_nd(x, k)
+            outs = [conv, T.batch_norm(conv, gamma, beta, BatchNormState(3, np.float64), False),
+                    T.matmul(T.softmax(m, axis=1), T.transpose(m)),
+                    T.concat([m, m], axis=0), T.tsum(T.relu(x))]
+        for out in outs:
+            assert out._parents == () and out._backward is None, out
+            assert not out.requires_grad, out
+        # the same ops outside the switch record the graph again
+        tracked = T.conv_nd(x, k)
+        assert tracked.requires_grad and tracked._parents == (x, k)
+        np.testing.assert_array_equal(tracked.data, conv.data)
+
+    def test_backward_names_the_switch(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with T.no_grad():
+            loss = T.tsum(x * x)
+        with pytest.raises(ValueError, match=r"no_grad\(\)"):
+            loss.backward()
+        assert x.grad is None
+
+    def test_nests_and_restores_on_error(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert not (x * 2.0).requires_grad
+            assert not (x * 2.0).requires_grad  # the inner exit keeps it on
+        assert (x * 2.0).requires_grad
+        with pytest.raises(ShapeError):
+            with T.no_grad():
+                T.add(x, Tensor(np.ones(3)))  # shape checks still run
+        assert (x * 2.0).requires_grad
+
+    def test_eval_batch_norm_gradcheck_passes_outside_the_switch(self):
+        # the switch is not eval mode: an eval-mode batch_norm still records
+        # its graph outside it, and the gradcheck suite backpropagates there
+        from tamseg.gradcheck import TOLERANCE, _op_cases, check_gradients
+        (tensors, build_loss), = [(t, fn) for name, t, fn in
+                                  _op_cases(np.random.default_rng(0))
+                                  if name == "batch_norm_eval"]
+        with T.no_grad():
+            assert not build_loss().requires_grad
+        assert check_gradients(build_loss, tensors) < TOLERANCE
