@@ -2,8 +2,11 @@
 
 Every differentiable operation is checked by comparing its reverse-mode
 gradients against central differences on a float64 copy of the computation.
-The check suites here back both the test suite and the ``gradcheck`` CLI
-command; keep them cheap enough to run on every change.
+Only the first evaluation of each loss is backpropagated; the difference
+evaluations run under ``tensor.no_grad()`` and record no graph, so each
+costs what the forward costs. The check suites here back both the test
+suite and the ``gradcheck`` CLI command; keep them cheap enough to run on
+every change.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, no_grad
 
 STEP = 1e-5
 TOLERANCE = 1e-4
@@ -61,36 +64,40 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
     and be free of randomness; a loss that runs batch norm in training mode
     qualifies, since that mode never reads the running statistics it
     updates. ``sample`` limits the check to that many randomly chosen
-    coordinates per tensor. Returns the worst relative error.
+    coordinates per tensor, drawn from ``rng``. Only the first ``build_loss()``
+    is backpropagated; the difference evaluations run under
+    ``tensor.no_grad()``. Returns the worst relative error.
     """
+    for name, t in tensors.items():
+        if t.dtype != np.float64:
+            raise ValueError(f"gradcheck requires float64 inputs; {name} is {t.dtype}")
+    if sample is not None and rng is None:
+        raise ValueError("sampled gradcheck needs an rng")
     for t in tensors.values():
         t.grad = None
     backward(build_loss())
 
     worst = 0.0
-    for name, t in tensors.items():
-        if t.dtype != np.float64:
-            raise ValueError(f"gradcheck requires float64 inputs; {name} is {t.dtype}")
-        analytic = (t.grad.data if t.grad is not None
-                    else np.zeros(t.shape, dtype=np.float64))
-        flat = t.data.reshape(-1)
-        if sample is not None and sample < flat.size:
-            if rng is None:
-                raise ValueError("sampled gradcheck needs an rng")
-            coords = rng.choice(flat.size, size=sample, replace=False)
-        else:
-            coords = np.arange(flat.size)
-        numeric = np.empty(coords.size, dtype=np.float64)
-        for out_idx, i in enumerate(coords):
-            saved = flat[i]
-            flat[i] = saved + STEP
-            plus = build_loss().item()
-            flat[i] = saved - STEP
-            minus = build_loss().item()
-            flat[i] = saved
-            numeric[out_idx] = (plus - minus) / (2.0 * STEP)
-        worst = max(worst, relative_error(analytic.reshape(-1)[coords], numeric,
-                                          abs_floor=abs_floor))
+    with no_grad():
+        for t in tensors.values():
+            analytic = (t.grad.data if t.grad is not None
+                        else np.zeros(t.shape, dtype=np.float64))
+            flat = t.data.reshape(-1)
+            if sample is not None and sample < flat.size:
+                coords = rng.choice(flat.size, size=sample, replace=False)
+            else:
+                coords = np.arange(flat.size)
+            numeric = np.empty(coords.size, dtype=np.float64)
+            for out_idx, i in enumerate(coords):
+                saved = flat[i]
+                flat[i] = saved + STEP
+                plus = build_loss().item()
+                flat[i] = saved - STEP
+                minus = build_loss().item()
+                flat[i] = saved
+                numeric[out_idx] = (plus - minus) / (2.0 * STEP)
+            worst = max(worst, relative_error(analytic.reshape(-1)[coords], numeric,
+                                              abs_floor=abs_floor))
     return worst
 
 

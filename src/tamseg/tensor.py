@@ -83,29 +83,12 @@ class Tensor:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(_as_dtype(dtype)), requires_grad=self.requires_grad)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{grad}, op={self._op})"
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, dtype=np.float32, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=_as_dtype(dtype)), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, dtype=np.float32, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=_as_dtype(dtype)), requires_grad=requires_grad)
-
-    @staticmethod
-    def full(shape, value, dtype=np.float32, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.full(shape, value, dtype=_as_dtype(dtype)), requires_grad=requires_grad)
 
     # -- operator sugar ----------------------------------------------------
 
@@ -287,14 +270,6 @@ class MacCounter:
     def __init__(self):
         self.total = 0
 
-    def add(self, n: int) -> None:
-        self.total += int(n)
-
-
-def _active_counter() -> MacCounter | None:
-    stack = getattr(_LOCAL, "mac_stack", None)
-    return stack[-1] if stack else None
-
 
 @contextmanager
 def count_macs():
@@ -311,9 +286,9 @@ def count_macs():
 
 
 def _count(n: int) -> None:
-    c = _active_counter()
-    if c is not None:
-        c.add(n)
+    stack = getattr(_LOCAL, "mac_stack", None)
+    if stack:
+        stack[-1].total += n
 
 
 # -- shape/dtype checks ------------------------------------------------------
@@ -626,18 +601,22 @@ CONV_TILE_ELEMS = 2 ** 16
 class _ConvPlan(NamedTuple):
     """Everything about one convolution that depends only on shapes."""
 
-    out_spatial: tuple[int, ...]
+    out_shape: tuple[int, ...]       # (C_out, *out_spatial)
+    out_tiles: tuple[int, int, int]  # (C_out, leading output positions, rows * width)
     padded: tuple[int, ...] | None  # padded input shape; None when no pad is needed
     crop: tuple[slice, ...]          # the input's place in the padded array
+    # a 1x1 kernel at stride 1 reads every input position once, so the input
+    # viewed as (C_in, *out_tiles[1:]) is its own im2col matrix; None otherwise
+    pointwise: tuple[int, int, int] | None
     win_shape: tuple[int, ...]       # (C_in, *k, *out) window view ...
     win_strides: tuple[int, ...]     # ... and its strides, in elements
     col_rows: int                    # C_in * prod(k)
-    leads: int                       # output positions before the last two axes
-    width: int                       # output extent of the last axis
-    # (flat leading index, window-view index, output column slice,
+    # (flat leading index, column-source index, output column slice,
     #  column-gradient shape) per tile
     tiles: tuple[tuple[int, tuple, slice, tuple[int, ...]], ...]
-    offsets: tuple[tuple, ...]       # one window-view index per kernel offset
+    offsets: tuple[tuple, ...]       # one column-gradient index per kernel offset
+    bias_shape: tuple[int, ...]      # (C_out, 1, ...), broadcast over the output
+    spatial_axes: tuple[int, ...]
     macs: int
 
 
@@ -648,9 +627,20 @@ CONV_PLAN_CACHE = 256
 
 
 @functools.lru_cache(maxsize=CONV_PLAN_CACHE)
-def _conv_plan(x_shape, k_shape, strides, padding) -> _ConvPlan:
-    c_out, c_in, *kshape = k_shape
+def _conv_plan(x_shape, k_shape, b_shape, strides, padding) -> _ConvPlan:
+    """Check the operand shapes and plan the convolution; ``b_shape`` is None without bias."""
     spatial = x_shape[1:]
+    rank = len(spatial)
+    if len(k_shape) != rank + 2:
+        raise ShapeError(f"conv: kernel rank {len(k_shape) - 2} does not match input "
+                         f"spatial rank {rank} (input {x_shape}, kernel {k_shape})")
+    if rank not in (2, 3):
+        raise ShapeError(f"conv: only 2 or 3 spatial dims supported, got {rank}")
+    c_out, c_in, *kshape = k_shape
+    if c_in != x_shape[0]:
+        raise ShapeError(f"conv: input has {x_shape[0]} channels but kernel expects {c_in}")
+    if b_shape is not None and b_shape != (c_out,):
+        raise ShapeError(f"conv: bias shape {b_shape} != ({c_out},)")
     out_spatial, pads = _conv_geometry(spatial, kshape, strides, padding)
     padded = (c_in,) + tuple(n + b + a for n, (b, a) in zip(spatial, pads))
     crop = (slice(None),) + tuple(slice(b, b + n) for (b, _), n in zip(pads, spatial))
@@ -658,34 +648,52 @@ def _conv_plan(x_shape, k_shape, strides, padding) -> _ConvPlan:
     steps = tuple(math.prod(padded[d + 1:]) for d in range(len(padded)))
     col_rows = c_in * math.prod(kshape)
     rows, width = out_spatial[-2:]
+    leads = math.prod(out_spatial[:-2])
+    pointwise = ((c_in, leads, rows * width)
+                 if all(k == 1 for k in kshape) and all(s == 1 for s in strides)
+                 else None)
     block = max(1, CONV_TILE_ELEMS // (col_rows * width))
-    tiles = tuple((flat, (Ellipsis,) + lead + (slice(r0, r0 + block), slice(None)),
-                   slice(r0 * width, min(r0 + block, rows) * width),
-                   (c_in, *kshape, min(r0 + block, rows) - r0, width))
-                  for flat, lead in enumerate(np.ndindex(*out_spatial[:-2]))
-                  for r0 in range(0, rows, block))
+    tiles = []
+    for flat, lead in enumerate(np.ndindex(*out_spatial[:-2])):
+        for r0 in range(0, rows, block):
+            r1 = min(r0 + block, rows)
+            cols = slice(r0 * width, r1 * width)
+            if pointwise:
+                tiles.append((flat, (slice(None), flat, cols), cols,
+                              (c_in, (r1 - r0) * width)))
+            else:
+                tiles.append((flat, (Ellipsis,) + lead + (slice(r0, r1), slice(None)),
+                              cols, (c_in, *kshape, r1 - r0, width)))
     return _ConvPlan(
-        out_spatial=out_spatial,
+        out_shape=(c_out, *out_spatial),
+        out_tiles=(c_out, leads, rows * width),
         padded=padded if any(b or a for b, a in pads) else None,
         crop=crop,
+        pointwise=pointwise,
         win_shape=(c_in, *kshape, *out_spatial),
         win_strides=steps + tuple(st * s for st, s in zip(steps[1:], strides)),
         col_rows=col_rows,
-        leads=math.prod(out_spatial[:-2]),
-        width=width,
-        tiles=tiles,
-        offsets=tuple((slice(None),) + off for off in np.ndindex(*kshape)),
+        tiles=tuple(tiles),
+        offsets=(((Ellipsis,),) if pointwise
+                 else tuple((slice(None),) + off for off in np.ndindex(*kshape))),
+        bias_shape=(c_out,) + (1,) * rank,
+        spatial_axes=tuple(range(1, rank + 1)),
         macs=col_rows * c_out * math.prod(out_spatial))
 
 
-def _windows(a: np.ndarray, plan: _ConvPlan) -> np.ndarray:
-    """(C, *k, *out) view of a C-contiguous padded (C, *spatial) array.
+def _columns(a: np.ndarray, plan: _ConvPlan) -> np.ndarray:
+    """View of a C-contiguous padded (C, *spatial) array whose tiles are im2col columns.
 
-    Entry [c, *off, *pos] is ``a[c, *(pos * stride + off)]``, so reshaping one
-    tile of the view to (C * prod(k), tile) gathers that tile's im2col columns.
-    For one fixed kernel offset the view holds distinct elements. Building
-    it on ``a`` as a buffer checks that the view stays inside ``a``.
+    Indexing it with a tile's column-source index and reshaping the result
+    to (C * prod(k), tile) gives that tile's im2col columns. For a pointwise
+    plan it is the array itself as (C, leads, rows * width). Otherwise it is
+    the (C, *k, *out) window view: entry [c, *off, *pos] is
+    ``a[c, *(pos * stride + off)]``, and for one fixed kernel offset the view
+    holds distinct elements. Building it on ``a`` as a buffer checks that the
+    view stays inside ``a``.
     """
+    if plan.pointwise is not None:
+        return a.reshape(plan.pointwise)
     return np.ndarray(plan.win_shape, a.dtype, buffer=a,
                       strides=tuple(s * a.itemsize for s in plan.win_strides))
 
@@ -709,57 +717,47 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     ``dW += g_tile @ cols.T``, and ``dcols = W.T @ g_tile`` is scattered into
     the padded input gradient with one strided add per kernel offset (col2im).
 
-    The shape-only part of this (extents, pads, tile list) is planned once
-    per shape combination and cached; when no pad is needed the input itself
-    is the padded array.
+    The shape-only part of this (shape checks, extents, pads, tile list) is
+    planned once per shape combination and cached. When no pad is needed the
+    input itself is the padded array, and a 1x1 kernel at stride 1 reads its
+    columns straight from the input, with no window view.
     """
-    rank = x.ndim - 1
-    if kernel.ndim != rank + 2:
-        raise ShapeError(f"conv: kernel rank {kernel.ndim - 2} does not match input "
-                         f"spatial rank {rank} (input {x.shape}, kernel {kernel.shape})")
-    if rank not in (2, 3):
-        raise ShapeError(f"conv: only 2 or 3 spatial dims supported, got {rank}")
-    c_out, c_in = kernel.shape[0], kernel.shape[1]
-    if c_in != x.shape[0]:
-        raise ShapeError(f"conv: input has {x.shape[0]} channels but kernel expects {c_in}")
-    if bias is not None and bias.shape != (c_out,):
-        raise ShapeError(f"conv: bias shape {bias.shape} != ({c_out},)")
-
-    plan = _conv_plan(x.shape, kernel.shape, _per_axis(stride, rank, "stride"), padding)
+    x_shape = x.data.shape
+    plan = _conv_plan(x_shape, kernel.data.shape,
+                      None if bias is None else bias.data.shape,
+                      _per_axis(stride, len(x_shape) - 1, "stride"), padding)
     if plan.padded is None:
-        x_pad = np.ascontiguousarray(x.data)
+        x_pad = x.data
     else:
         x_pad = np.zeros(plan.padded, dtype=x.dtype)
         x_pad[plan.crop] = x.data
-    windows = _windows(x_pad, plan)
-    windows.flags.writeable = False
-    w_cols = kernel.data.reshape(c_out, -1)
+    src = _columns(x_pad, plan)
     col_rows = plan.col_rows
+    w_cols = kernel.data.reshape(-1, col_rows)
 
-    out_data = np.empty((c_out, plan.leads, plan.out_spatial[-2] * plan.width),
-                        dtype=x.dtype)
-    for flat, win, cols, _ in plan.tiles:
-        np.matmul(w_cols, windows[win].reshape(col_rows, -1), out=out_data[:, flat, cols])
-    out_data = out_data.reshape((c_out, *plan.out_spatial))
+    out_data = np.empty(plan.out_tiles, dtype=x.dtype)
+    for flat, idx, cols, _ in plan.tiles:
+        np.matmul(w_cols, src[idx].reshape(col_rows, -1), out=out_data[:, flat, cols])
+    out_data = out_data.reshape(plan.out_shape)
     if bias is not None:
-        out_data += bias.data.reshape((c_out,) + (1,) * rank)
+        out_data += bias.data.reshape(plan.bias_shape)
     _count(plan.macs)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def back(g):
-        g_tiles = g.reshape(c_out, plan.leads, -1)
+        g_tiles = g.reshape(plan.out_tiles)
         dk = np.zeros(w_cols.shape, w_cols.dtype) if kernel.requires_grad else None
         if x.requires_grad:
             dx_pad = np.zeros(x_pad.shape, x_pad.dtype)
-            dx_windows = _windows(dx_pad, plan)
-        for flat, win, cols, d_shape in plan.tiles:
+            d_src = _columns(dx_pad, plan)
+        for flat, idx, cols, d_shape in plan.tiles:
             g_tile = g_tiles[:, flat, cols]
             if dk is not None:
-                dk += g_tile @ windows[win].reshape(col_rows, -1).T
+                dk += g_tile @ src[idx].reshape(col_rows, -1).T
             if x.requires_grad:
                 d_cols = (w_cols.T @ g_tile).reshape(d_shape)
-                d_win = dx_windows[win]
+                d_win = d_src[idx]
                 for off in plan.offsets:
                     d_win[off] += d_cols[off]
         if dk is not None:
@@ -767,7 +765,7 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         if x.requires_grad:
             _accum(x, np.ascontiguousarray(dx_pad[plan.crop]))
         if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=tuple(range(1, rank + 1))))
+            _accum(bias, g.sum(axis=plan.spatial_axes))
 
     return _result(out_data, parents, back, "conv")
 

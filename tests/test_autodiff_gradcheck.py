@@ -106,9 +106,58 @@ class TestCheckGradients:
         assert err > 0.1
 
     def test_float32_rejected(self):
+        # refused before any evaluation, even behind a valid float64 tensor
+        y = Tensor(np.ones(3), requires_grad=True)
         x = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-        with pytest.raises(ValueError):
-            check_gradients(lambda: T.tsum(x * x), {"x": x})
+        calls = []
+
+        def build_loss():
+            calls.append(1)
+            return T.tsum(y * y)
+
+        with pytest.raises(ValueError, match="float64"):
+            check_gradients(build_loss, {"y": y, "x": x})
+        assert not calls
+
+    def test_sample_without_rng_rejected(self):
+        x = Tensor(np.ones(5), requires_grad=True)
+        calls = []
+
+        def build_loss():
+            calls.append(1)
+            return T.tsum(x * x)
+
+        with pytest.raises(ValueError, match="rng"):
+            check_gradients(build_loss, {"x": x}, sample=2)
+        assert not calls
+
+    def test_only_first_loss_records_a_graph(self):
+        x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        losses = []
+
+        def build_loss():
+            losses.append(T.tsum(x * x))
+            return losses[-1]
+
+        assert check_gradients(build_loss, {"x": x}) < 1e-7
+        assert len(losses) == 1 + 2 * x.size
+        assert losses[0].requires_grad
+        assert not any(loss.requires_grad or loss._parents for loss in losses[1:])
+
+    def test_graph_recording_restored_after_loss_raises(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        calls = []
+
+        def build_loss():
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("loss failed mid-loop")
+            return T.tsum(x * x)
+
+        with pytest.raises(RuntimeError, match="mid-loop"):
+            check_gradients(build_loss, {"x": x})
+        assert len(calls) == 3
+        assert T.tsum(x * x).requires_grad
 
 
 class TestOpSuite:
