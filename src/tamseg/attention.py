@@ -47,10 +47,6 @@ class TamConfig:
         if self.channels < 1:
             raise ValidationError("channels must be positive")
 
-    @property
-    def head_width(self) -> int:
-        return self.d_embed // self.heads
-
 
 @dataclass
 class FeatureStack:

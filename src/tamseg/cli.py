@@ -16,7 +16,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from .costs import compare_architectures, configuration_report
 from .errors import NumericError, ShapeError, UndefinedMetricError, ValidationError
+from .experiments import (ABLATION_AXES, ExperimentConfig, ablate, evaluate,
+                          make_dataset, train)
+from .gradcheck import TOLERANCE, run_suite
+from .synth import DROPOUT_TARGETS, QUALITY_TIERS
+from .tnsr import write_json
+from .unet import BackboneConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,7 +39,7 @@ def _csv_list(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
-def _parse_channels(text: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in _csv_list(text))
 
 
@@ -46,10 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--t", type=int, default=3, help="frames per sequence")
     g.add_argument("--size", type=int, default=64, help="square image extent")
-    g.add_argument("--tier", default="medium", choices=("good", "medium", "poor"))
+    g.add_argument("--tier", default="medium", choices=QUALITY_TIERS)
     g.add_argument("--dropout-target", default="unannotated",
-                   choices=("unannotated", "annotated", "all", "none"),
-                   help="which frames dropout patches hit")
+                   choices=DROPOUT_TARGETS, help="which frames dropout patches hit")
     g.add_argument("--train-cases", type=int, default=8)
     g.add_argument("--val-cases", type=int, default=2)
     g.add_argument("--test-cases", type=int, default=4)
@@ -67,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lr", type=float, default=1e-3)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--levels", type=int, default=5)
-    t.add_argument("--channels", type=_parse_channels,
+    t.add_argument("--channels", type=_int_list,
                    default=(16, 32, 64, 128, 256),
                    help="comma-separated widths, one per level")
     t.add_argument("--eval-every", type=int, default=25)
@@ -84,11 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_eval)
 
     a = sub.add_parser("ablate", help="sweep one experiment axis")
-    a.add_argument("--axis", required=True,
-                   choices=("config", "heads", "frames", "tier"))
+    a.add_argument("--axis", required=True, choices=ABLATION_AXES)
     a.add_argument("--values", required=True, type=_csv_list,
                    help="comma-separated cell values")
-    a.add_argument("--seeds", type=_csv_list, default=["0"],
+    a.add_argument("--seeds", type=_int_list, default=(0,),
                    help="comma-separated run seeds shared across cells")
     a.add_argument("--seed", type=int, default=0,
                    help="base seed for dataset generation")
@@ -99,15 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--steps", type=int, default=60)
     a.add_argument("--lr", type=float, default=1e-3)
     a.add_argument("--size", type=int, default=32)
-    a.add_argument("--tier", default="medium")
+    a.add_argument("--tier", default="medium", choices=QUALITY_TIERS)
     a.add_argument("--levels", type=int, default=5)
-    a.add_argument("--channels", type=_parse_channels,
+    a.add_argument("--channels", type=_int_list,
                    default=(8, 16, 32, 64, 128))
     a.add_argument("--train-cases", type=int, default=4)
     a.add_argument("--val-cases", type=int, default=1)
     a.add_argument("--test-cases", type=int, default=2)
     a.add_argument("--dropout-target", default="unannotated",
-                   choices=("unannotated", "annotated", "all", "none"))
+                   choices=DROPOUT_TARGETS)
     a.add_argument("--quiet", action="store_true")
     a.set_defaults(func=cmd_ablate)
 
@@ -122,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--size", type=int, default=64)
     k.add_argument("--t", type=int, default=2)
     k.add_argument("--levels", type=int, default=5)
-    k.add_argument("--channels", type=_parse_channels,
+    k.add_argument("--channels", type=_int_list,
                    default=(16, 32, 64, 128, 256))
     k.add_argument("--heads", type=int, default=4)
     k.add_argument("--json", dest="json_out", default=None,
@@ -132,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    from .experiments import make_dataset
     make_dataset(args.out, seed=args.seed, size=args.size, frames=args.t,
                  tier=args.tier,
                  counts={"train": args.train_cases, "val": args.val_cases,
@@ -143,7 +147,6 @@ def cmd_gen(args) -> int:
 
 
 def _experiment_config(args, dataset: str, outdir: str):
-    from .experiments import ExperimentConfig
     return ExperimentConfig(
         config_id=args.config, frames=args.t, heads=args.heads,
         d_embed=getattr(args, "d_embed", None), steps=args.steps,
@@ -154,7 +157,6 @@ def _experiment_config(args, dataset: str, outdir: str):
 
 
 def cmd_train(args) -> int:
-    from .experiments import train
     cfg = _experiment_config(args, args.dataset, args.out)
     log = None if args.quiet else (lambda msg: print(msg, flush=True))
     summary = train(cfg, log=log)
@@ -164,7 +166,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .experiments import evaluate
     if not args.oracle and not args.checkpoint:
         raise ValidationError("--checkpoint is required unless --oracle is set")
     result = evaluate(args.checkpoint, args.dataset, args.out,
@@ -178,12 +179,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from .experiments import ablate
     # ablate assigns per-cell dataset/outdir paths under --workdir
     base = _experiment_config(args, dataset="", outdir="")
     log = None if args.quiet else (lambda msg: print(msg, flush=True))
     rows = ablate(args.axis, args.values, base,
-                  seeds=[int(s) for s in args.seeds], workdir=args.workdir,
+                  seeds=args.seeds, workdir=args.workdir,
                   size=args.size,
                   dataset_counts={"train": args.train_cases,
                                   "val": args.val_cases,
@@ -198,16 +198,17 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import run_suite
     kwargs = {}
     if args.seeds is not None:
+        if args.seeds < 1:
+            raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
         kwargs["seeds"] = range(args.seeds)
     results = run_suite(args.scope, **kwargs)
     failed = [r for r in results if not r.passed]
     for r in sorted(results, key=lambda r: -r.max_rel_error):
         status = "ok" if r.passed else "FAIL"
         print(f"{status:4} {r.name:<20} max rel err {r.max_rel_error:.3e} "
-              f"(tol {r.tolerance:g})")
+              f"(tol {TOLERANCE:g})")
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed")
         return 2
@@ -216,9 +217,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    from .costs import compare_architectures, configuration_report
-    from .tnsr import write_json
-    from .unet import BackboneConfig
     base = BackboneConfig(levels=args.levels, channels=args.channels,
                           heads=args.heads)
     spatial = (args.size, args.size)

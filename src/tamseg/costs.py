@@ -103,19 +103,6 @@ def attention_pair_macs(n: int, d_embed: int) -> int:
     return 2 * n * n * d_embed
 
 
-def attention_cost(d_embed: int, n: int, heads: int, t: int) -> int:
-    """Total attention MACs over all T*(T-1) ordered frame pairs.
-
-    T=1 is legal and costs nothing: there are no pairs to attend over.
-    """
-    if t < 1:
-        raise ValidationError("attention cost needs T >= 1")
-    if heads < 1 or d_embed % heads != 0:
-        raise ValidationError(
-            f"d_embed {d_embed} must divide evenly into {heads} heads")
-    return t * (t - 1) * attention_pair_macs(n, d_embed)
-
-
 def tam_rows(cfg: TamConfig, spatial, t: int, prefix: str = "tam") -> list[CostRow]:
     """Cost rows for one attention module applied to a T-frame stack.
 
@@ -215,9 +202,11 @@ FULL_INPUT = (256, 256)
 FULL_FRAMES = 2
 
 
-def tam_vs_time_conv(t: int, levels: int, k: int = 3) -> dict:
+def tam_vs_time_conv(t: int, levels: int) -> dict:
     """Attention-vs-time-kernel break-even: attention is cheaper when
-    T^2 < levels * k^2 * (k - 1) under the leading-term proportionality."""
+    T^2 < levels * k^2 * (k - 1) under the leading-term proportionality,
+    with the backbone's kernel extent k = 3."""
+    k = 3
     lhs = t * t
     rhs = levels * k * k * (k - 1)
     return {"t_squared": lhs, "conv_overhead_factor": rhs,

@@ -23,7 +23,7 @@ from .errors import NumericError, ValidationError
 from .losses import dice_ce_loss, one_hot
 from .metrics import MetricReport, SegmentationMask, ecdf_csv
 from .optim import Adam
-from .synth import SequenceSpec, load_dataset, write_dataset
+from .synth import QUALITY_TIERS, SequenceSpec, load_dataset, write_dataset
 from .tensor import Tensor, assert_finite, backward, no_grad
 from .tnsr import atomic_write_text, read_bundle, write_bundle, write_json
 from .unet import BackboneConfig, build_model, lookup_configuration
@@ -56,8 +56,8 @@ class ExperimentConfig:
         lookup_configuration(self.config_id)
         if not 2 <= self.frames <= 5:
             raise ValidationError(f"frames must be in [2, 5], got {self.frames}")
-        if self.steps < 0 or self.batch_size < 1:
-            raise ValidationError("steps must be >= 0 and batch_size >= 1")
+        if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
+            raise ValidationError("steps, batch_size and eval_every must be >= 1")
         if self.lr < 0:
             raise ValidationError("lr must be >= 0")
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -295,8 +295,7 @@ def evaluate(checkpoint, dataset: str, outdir, split: str = "test",
 
 def make_dataset(root, seed: int, size: int, frames: int, tier: str,
                  counts: dict[str, int] | None = None,
-                 dropout_target: str = "unannotated",
-                 contraction: float = 0.35) -> None:
+                 dropout_target: str = "unannotated") -> None:
     """Generate a train/val/test dataset directory from one base seed."""
     counts = counts or {"train": 8, "val": 2, "test": 4}
     splits: dict[str, list[SequenceSpec]] = {}
@@ -307,7 +306,7 @@ def make_dataset(root, seed: int, size: int, frames: int, tier: str,
             specs.append(SequenceSpec.for_tier(
                 tier, seed=seed + offset.get(split, 30_000) + i,
                 extents=(size, size), frames=frames,
-                dropout_target=dropout_target, contraction=contraction))
+                dropout_target=dropout_target))
         splits[split] = specs
     write_dataset(root, splits)
 
@@ -369,11 +368,10 @@ def _apply_axis(base: ExperimentConfig, axis: str, value: str) -> ExperimentConf
         return dataclasses.replace(base, heads=int(value))
     if axis == "frames":
         return dataclasses.replace(base, frames=int(value))
-    if axis == "tier":
-        if value not in ("good", "medium", "poor"):
-            raise ValidationError(f"unknown tier {value!r}")
-        return dataclasses.replace(base, tier=value)
-    raise ValidationError(f"unknown ablation axis {axis!r}")
+    # axis == "tier": ablate refused every other axis
+    if value not in QUALITY_TIERS:
+        raise ValidationError(f"unknown tier {value!r}")
+    return dataclasses.replace(base, tier=value)
 
 
 def _write_ablation(workdir: Path, axis: str, rows: list[dict],

@@ -2,7 +2,7 @@
 
 For each class c the loss contributes
 
-    (1 - 2*|T_c * P_c| / (|T_c| + |P_c| + eps))  +  (-1/N * sum T_c * log P_c)
+    (1 - 2*|T_c * P_c| / (|T_c| + |P_c| + DICE_EPS))  +  (-1/N * sum T_c * log P_c)
 
 where T is one-hot truth, P the predicted probabilities, and N the pixel
 count. The class mean keeps the scale independent of the label count.
@@ -44,8 +44,7 @@ def _check_pair(probs: Tensor, truth: Tensor) -> None:
         raise ValidationError("truth must be one-hot over the class axis")
 
 
-def _per_class_terms(probs: Tensor, truth: Tensor,
-                     eps: float = DICE_EPS) -> list[tuple[Tensor, Tensor]]:
+def _per_class_terms(probs: Tensor, truth: Tensor) -> list[tuple[Tensor, Tensor]]:
     classes = probs.shape[0]
     n = math.prod(probs.shape[1:])
     terms = []
@@ -53,7 +52,7 @@ def _per_class_terms(probs: Tensor, truth: Tensor,
         p_c = slice_axis(probs, 0, c, c + 1)
         t_c = slice_axis(truth, 0, c, c + 1)
         inter = tsum(mul(t_c, p_c))
-        denom = shift(tsum(t_c) + tsum(p_c), eps)
+        denom = shift(tsum(t_c) + tsum(p_c), DICE_EPS)
         dice = shift(scale(inter / denom, -2.0), 1.0)
         ce = scale(tsum(mul(t_c, log(clip(p_c, LOG_CLAMP, 1.0 - LOG_CLAMP)))),
                    -1.0 / n)
@@ -61,21 +60,20 @@ def _per_class_terms(probs: Tensor, truth: Tensor,
     return terms
 
 
-def dice_ce_loss(probs: Tensor, truth: Tensor, eps: float = DICE_EPS) -> Tensor:
+def dice_ce_loss(probs: Tensor, truth: Tensor) -> Tensor:
     """Class-averaged soft-Dice + cross-entropy between probabilities and one-hot truth."""
     _check_pair(probs, truth)
     classes = probs.shape[0]
     total = None
-    for dice, ce in _per_class_terms(probs, truth, eps):
+    for dice, ce in _per_class_terms(probs, truth):
         term = dice + ce
         total = term if total is None else total + term
     return scale(total, 1.0 / classes)
 
 
-def loss_components(probs: Tensor, truth: Tensor,
-                    eps: float = DICE_EPS) -> dict[str, list[float]]:
+def loss_components(probs: Tensor, truth: Tensor) -> dict[str, list[float]]:
     """Per-class Dice and cross-entropy terms as plain floats, for reporting."""
     _check_pair(probs, truth)
-    terms = _per_class_terms(probs, truth, eps)
+    terms = _per_class_terms(probs, truth)
     return {"dice": [d.item() for d, _ in terms],
             "cross_entropy": [c.item() for _, c in terms]}

@@ -9,55 +9,42 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor
 
-
-def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
-              state: dict, lr: float = 1e-4,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
-    """One in-place Adam update over ``params``.
-
-    ``state`` is a dict persisted across calls; pass ``{}`` on the first call
-    and it is seeded with zero moments. Moment estimates are bias-corrected,
-    so the very first step has magnitude close to ``lr`` elementwise.
-    """
-    if len(params) != len(grads):
-        raise ShapeError(f"adam_step: {len(params)} params but {len(grads)} grads")
-    if not state:
-        state["step"] = 0
-        state["m"] = [np.zeros_like(p.data) for p in params]
-        state["v"] = [np.zeros_like(p.data) for p in params]
-    state["step"] += 1
-    t = state["step"]
-    b1, b2 = betas
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.shape:
-            raise ShapeError(f"adam_step: grad shape {g.shape} != param shape {p.shape}")
-        m = state["m"][i]
-        v = state["v"][i]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype, copy=False)
+BETAS = (0.9, 0.999)
+EPS = 1e-8
 
 
 class Adam:
-    """Stateful wrapper around :func:`adam_step` for a fixed parameter list."""
+    """In-place Adam over a fixed parameter list.
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    The step count and the first and second moment estimates (one zero array
+    per parameter to start) are attributes, so they persist across steps.
+    Moment estimates are bias-corrected, so the very first step has magnitude
+    close to ``lr`` elementwise. A parameter without a gradient steps with a
+    zero gradient.
+    """
+
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.state: dict = {}
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        grads = [p.grad.data if p.grad is not None else np.zeros_like(p.data)
-                 for p in self.params]
-        adam_step(self.params, grads, self.state,
-                  lr=self.lr, betas=self.betas, eps=self.eps)
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = BETAS
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad.data if p.grad is not None else np.zeros_like(p.data)
+            if g.shape != p.shape:
+                raise ShapeError(f"Adam: grad shape {g.shape} != param shape {p.shape}")
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(p.dtype, copy=False)
 
     def zero_grad(self) -> None:
         for p in self.params:

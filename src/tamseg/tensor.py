@@ -83,9 +83,6 @@ class Tensor:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{grad}, op={self._op})"
@@ -116,37 +113,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # method forms of the common ops
-    def matmul(self, other):
-        return matmul(self, other)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def log(self):
-        return log(self)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return mean(self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 # -- graph machinery -------------------------------------------------------
@@ -195,9 +161,9 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
-    ``loss`` must be scalar. Gradients accumulate across calls until reset
-    with ``zero_grad``. The graph is freed as it is swept, so each graph
-    backpropagates once.
+    ``loss`` must be scalar. Gradients accumulate across calls until a
+    tensor's ``grad`` is set back to None. The graph is freed as it is swept,
+    so each graph backpropagates once.
     """
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -820,6 +786,11 @@ def upsample_nearest(x: Tensor, factor=2) -> Tensor:
 # -- batch normalization ----------------------------------------------------------
 
 
+# the running-stat momentum and the variance floor of every batch norm
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 class BatchNormState:
     """Running statistics for one batch-norm layer (one entry per channel)."""
 
@@ -829,13 +800,15 @@ class BatchNormState:
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool) -> Tensor:
     """Per-channel normalization of a (C, *spatial) tensor.
 
     Training mode normalizes with the statistics of this call (biased variance
-    over all non-channel elements) and folds them into ``state`` with the given
-    momentum; eval mode normalizes with the running statistics. The state
-    update is the one deliberate side effect in the op set.
+    over all non-channel elements) and folds them into ``state`` with momentum
+    ``BN_MOMENTUM``; eval mode normalizes with the running statistics. The
+    state update is the one deliberate side effect in the op set. A (C,)
+    input reduces over no axis: in training its mean is the input itself and
+    its variance is zero.
     """
     c = x.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -845,21 +818,20 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     bshape = (c,) + (1,) * (x.ndim - 1)
 
     if training:
-        mu = x.data.mean(axis=axes) if axes else x.data.copy()
+        mu = x.data.mean(axis=axes)
         centered = x.data - mu.reshape(bshape)
         # the steps of numpy's var, reusing the mean and the centered input
-        var = ((centered * centered).sum(axis=axes) / math.prod(x.shape[1:])
-               if axes else np.zeros_like(x.data))
-        state.running_mean = ((1 - momentum) * state.running_mean
-                              + momentum * mu).astype(state.running_mean.dtype, copy=False)
-        state.running_var = ((1 - momentum) * state.running_var
-                             + momentum * var).astype(state.running_var.dtype, copy=False)
+        var = (centered * centered).sum(axis=axes) / math.prod(x.shape[1:])
+        state.running_mean = ((1 - BN_MOMENTUM) * state.running_mean
+                              + BN_MOMENTUM * mu).astype(state.running_mean.dtype, copy=False)
+        state.running_var = ((1 - BN_MOMENTUM) * state.running_var
+                             + BN_MOMENTUM * var).astype(state.running_var.dtype, copy=False)
     else:
         mu = state.running_mean.astype(x.dtype, copy=False)
         var = state.running_var.astype(x.dtype, copy=False)
         centered = x.data - mu.reshape(bshape)
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = centered * inv_std.reshape(bshape)
     out_data = gamma.data.reshape(bshape) * x_hat + beta.data.reshape(bshape)
 
@@ -871,8 +843,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         if x.requires_grad:
             gs = gamma.data.reshape(bshape) * inv_std.reshape(bshape)
             if training:
-                g_mean = g.mean(axis=axes, keepdims=True) if axes else g
-                gx_mean = (g * x_hat).mean(axis=axes, keepdims=True) if axes else g * x_hat
+                g_mean = g.mean(axis=axes, keepdims=True)
+                gx_mean = (g * x_hat).mean(axis=axes, keepdims=True)
                 _accum(x, gs * (g - g_mean - x_hat * gx_mean))
             else:
                 _accum(x, gs * g)

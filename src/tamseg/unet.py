@@ -261,29 +261,23 @@ class TimeConvUNet(_UNet):
 class Configuration:
     """One named architecture variant from the insertion-point sweep."""
 
-    config_id: str
     slots: frozenset[str] = frozenset()
     time_conv: bool = False
 
 
 CONFIGURATIONS: dict[str, Configuration] = {
-    "C1": Configuration("C1"),
-    "C2": Configuration("C2", time_conv=True),
-    "C3": Configuration("C3", frozenset({"E5"})),
-    "C4": Configuration("C4", frozenset({"E4", "E5"})),
-    "C5": Configuration("C5", frozenset({"E3", "E4", "E5"})),
-    "C6": Configuration("C6", frozenset({"E5", "D4"})),
-    "C7": Configuration("C7", frozenset({"E5", "D3", "D4"})),
-    "C8": Configuration("C8", frozenset({"E4", "E5", "D4"})),
-    "C9": Configuration("C9", frozenset({"E4", "E5", "D3", "D4"})),
-    "C10": Configuration("C10", frozenset({"E3", "E4", "E5", "D4"})),
-    "C11": Configuration("C11", frozenset({"E3", "E4", "E5", "D3", "D4"})),
+    "C1": Configuration(),
+    "C2": Configuration(time_conv=True),
+    "C3": Configuration(frozenset({"E5"})),
+    "C4": Configuration(frozenset({"E4", "E5"})),
+    "C5": Configuration(frozenset({"E3", "E4", "E5"})),
+    "C6": Configuration(frozenset({"E5", "D4"})),
+    "C7": Configuration(frozenset({"E5", "D3", "D4"})),
+    "C8": Configuration(frozenset({"E4", "E5", "D4"})),
+    "C9": Configuration(frozenset({"E4", "E5", "D3", "D4"})),
+    "C10": Configuration(frozenset({"E3", "E4", "E5", "D4"})),
+    "C11": Configuration(frozenset({"E3", "E4", "E5", "D3", "D4"})),
 }
-
-
-def list_configurations() -> list[Configuration]:
-    return [CONFIGURATIONS[k] for k in sorted(CONFIGURATIONS,
-                                              key=lambda s: int(s[1:]))]
 
 
 def lookup_configuration(config_id: str) -> Configuration:

@@ -5,7 +5,7 @@ import pytest
 
 from tamseg import tensor as T
 from tamseg.errors import ShapeError
-from tamseg.optim import Adam, adam_step
+from tamseg.optim import Adam
 from tamseg.tensor import Tensor, backward
 
 
@@ -24,12 +24,19 @@ def reference_adam(x0, grads, lr, betas=(0.9, 0.999), eps=1e-8):
     return trace
 
 
+def step_with(opt, *grads):
+    """One ``opt.step()`` with ``grads`` as the parameters' gradients."""
+    for p, g in zip(opt.params, grads):
+        p.grad = Tensor(np.asarray(g, dtype=np.float64))
+    opt.step()
+
+
 class TestAdamStep:
     def test_first_step_is_bias_corrected(self):
         # with bias correction the first update is ~lr regardless of |g|
         for g in (0.001, 1.0, 250.0):
             p = Tensor(np.array([0.0]), requires_grad=True)
-            adam_step([p], [np.array([g])], {}, lr=0.01)
+            step_with(Adam([p], lr=0.01), [g])
             np.testing.assert_allclose(p.data, [-0.01], rtol=1e-5)
 
     def test_matches_reference_trace(self):
@@ -38,10 +45,10 @@ class TestAdamStep:
         expected = reference_adam(1.5, grads, lr=0.05)
 
         p = Tensor(np.array([1.5]), requires_grad=True)
-        state = {}
+        opt = Adam([p], lr=0.05)
         got = []
         for g in grads:
-            adam_step([p], [np.array([g])], state, lr=0.05)
+            step_with(opt, [g])
             got.append(float(p.data[0]))
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
@@ -51,9 +58,9 @@ class TestAdamStep:
         rng = np.random.default_rng(3)
         g0, g1 = rng.normal(size=5), rng.normal(size=5)
         p = Tensor(np.zeros(2), requires_grad=True)
-        state = {}
+        opt = Adam([p], lr=0.1)
         for a, b in zip(g0, g1):
-            adam_step([p], [np.array([a, b])], state, lr=0.1)
+            step_with(opt, [a, b])
         ref0 = reference_adam(0.0, g0, lr=0.1)[-1]
         ref1 = reference_adam(0.0, g1, lr=0.1)[-1]
         np.testing.assert_allclose(p.data, [ref0, ref1], rtol=1e-12)
@@ -61,25 +68,24 @@ class TestAdamStep:
     def test_zero_lr_freezes_params(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         before = p.data.copy()
-        state = {}
+        opt = Adam([p], lr=0.0)
         for _ in range(3):
-            adam_step([p], [np.ones(2)], state, lr=0.0)
+            step_with(opt, np.ones(2))
         np.testing.assert_allclose(p.data, before)
-        assert state["step"] == 3  # moments still advance
+        assert opt.step_count == 3  # moments still advance
+        assert opt.m[0].any() and opt.v[0].any()
 
     def test_shape_mismatch_raises(self):
         p = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ShapeError):
-            adam_step([p], [np.zeros(2)], {}, lr=0.1)
-        with pytest.raises(ShapeError):
-            adam_step([p], [], {}, lr=0.1)
+            step_with(Adam([p], lr=0.1), np.zeros(2))
 
     def test_state_persists_across_calls(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
-        state = {}
-        adam_step([p], [np.array([1.0])], state, lr=0.01)
-        adam_step([p], [np.array([1.0])], state, lr=0.01)
-        assert state["step"] == 2
+        opt = Adam([p], lr=0.01)
+        step_with(opt, [1.0])
+        step_with(opt, [1.0])
+        assert opt.step_count == 2
         # same constant gradient: second step roughly doubles the travel
         np.testing.assert_allclose(p.data, [-0.02], rtol=1e-3)
 

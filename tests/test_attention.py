@@ -154,9 +154,6 @@ def make_params(rng, channels=8, d_embed=8, heads=2, randomize_bn=True):
 
 
 class TestConfig:
-    def test_head_width(self):
-        assert TamConfig(channels=8, d_embed=16, heads=4).head_width == 4
-
     def test_divisibility_enforced(self):
         with pytest.raises(ValidationError):
             TamConfig(channels=8, d_embed=10, heads=4)

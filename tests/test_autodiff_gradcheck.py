@@ -43,12 +43,6 @@ class TestBackwardBasics:
         assert a.grad is not None
         assert b.grad is None
 
-    def test_zero_grad_clears(self):
-        x = Tensor(np.ones(2), requires_grad=True)
-        backward(T.tsum(x * x))
-        x.zero_grad()
-        assert x.grad is None
-
     def test_grad_accumulates_across_backwards(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         backward(T.tsum(x * 3.0))

@@ -6,8 +6,7 @@ import pytest
 from tamseg.errors import ShapeError, ValidationError
 from tamseg.tensor import Tensor, count_macs, no_grad
 from tamseg.unet import (CONFIGURATIONS, BackboneConfig, TimeConvUNet,
-                         UNetBackbone, build_model, list_configurations,
-                         valid_slots)
+                         UNetBackbone, build_model, valid_slots)
 
 SMALL = BackboneConfig(levels=3, channels=(4, 8, 16), heads=2)
 
@@ -67,10 +66,6 @@ class TestConfigurationTable:
             assert not CONFIGURATIONS[cid].time_conv
         assert CONFIGURATIONS["C2"].time_conv
         assert not CONFIGURATIONS["C2"].slots
-
-    def test_listing_is_ordered(self):
-        ids = [c.config_id for c in list_configurations()]
-        assert ids == [f"C{i}" for i in range(1, 12)]
 
     def test_build_model_types(self):
         rng = np.random.default_rng(0)

@@ -145,6 +145,16 @@ class TestTrainEval:
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--steps", "--eval-every"])
+    def test_zero_count_exit_1_before_any_file(self, tmp_path, capsys, flag):
+        ds = gen_tiny(tmp_path)
+        args = self.train_args(ds, tmp_path / "run")
+        args[args.index(flag) + 1] = "0"
+        capsys.readouterr()
+        assert run(*args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
     def test_train_rerun_byte_identical(self, tmp_path):
         ds = gen_tiny(tmp_path)
         out = tmp_path / "run"
@@ -161,6 +171,13 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "all" in out and "checks passed" in out
         assert "ok" in out
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_seeds_exit_1(self, capsys, seeds):
+        assert run("gradcheck", "--scope", "ops", "--seeds", seeds) == 1
+        captured = capsys.readouterr()
+        assert "checks passed" not in captured.out
+        assert captured.err.startswith("error: ")
 
 
 class TestCostCommand:
@@ -207,3 +224,10 @@ class TestAblateCommand:
         code = run("ablate", "--axis", "kernel", "--values", "3",
                    "--workdir", str(tmp_path / "w"))
         assert code == 1
+
+    def test_non_integer_seed_is_usage_error(self, tmp_path, capsys):
+        code = run("ablate", "--axis", "config", "--values", "C1",
+                   "--seeds", "0,x", "--workdir", str(tmp_path / "w"))
+        assert code == 1
+        assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()

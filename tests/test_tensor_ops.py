@@ -267,7 +267,7 @@ class TestConvMatchesTensordotOracle:
         tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
         out = T.conv_nd(tx, tw, tb, stride=stride, padding=padding)
         g = rng.normal(size=ref_out.shape).astype(dtype)
-        T.tsum(T.mul(out, Tensor(g))).backward()
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
 
         rel = 1e-10 if dtype == np.float64 else 1e-5
         for got, ref in zip((out, tx.grad, tw.grad, tb.grad), (ref_out, *ref_back(g))):
@@ -296,7 +296,7 @@ class TestConvPlanCache:
         tx, tw = Tensor(x.copy(), requires_grad=True), Tensor(w, requires_grad=True)
         out = T.conv_nd(tx, tw, stride=stride, padding=padding)
         g = rng.normal(size=ref_out.shape)
-        T.tsum(T.mul(out, Tensor(g))).backward()
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
         ref_dx, ref_dw, _ = ref_back(g)
         for got, ref in ((out.data, ref_out), (tx.grad.data, ref_dx), (tw.grad.data, ref_dw)):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
@@ -370,7 +370,7 @@ class TestResultInvariant:
             assert made, name
             for out, _ in made:
                 self._assert_node(out, np.float64)
-            loss.backward()
+            T.backward(loss)
             for t in tensors.values():
                 self._assert_node(t.grad, np.float64)
 
@@ -392,7 +392,7 @@ class TestResultInvariant:
         assert len(made) > 10
         for out, _ in made:
             self._assert_node(out, np.float32)
-        loss.backward()
+        T.backward(loss)
         for t in (x, k, m, gamma, beta):
             self._assert_node(t.grad, np.float32)
 
@@ -448,7 +448,7 @@ class TestBatchNorm:
         x = np.random.default_rng(14).normal(size=(2, 5, 5))
         state = BatchNormState(2, dtype=np.float64)
         T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                     state, training=True, momentum=0.1)
+                     state, training=True)
         np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(axis=(1, 2)),
                                    rtol=1e-12)
         np.testing.assert_allclose(state.running_var,
@@ -460,12 +460,34 @@ class TestBatchNorm:
         state.running_mean = np.array([1.0, -1.0])
         state.running_var = np.array([4.0, 0.25])
         out = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                           state, training=False, eps=0.0).data
+                           state, training=False).data
         ref = (x - state.running_mean[:, None, None]) / np.sqrt(
-            state.running_var[:, None, None])
+            state.running_var[:, None, None] + T.BN_EPS)
         np.testing.assert_allclose(out, ref, rtol=1e-12)
         # eval mode must not touch the state
         np.testing.assert_allclose(state.running_mean, [1.0, -1.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_channel_vector_input(self, dtype):
+        # a (C,) input has no axis to reduce: in training each channel is its
+        # own mean with zero variance, so the output is beta, the input and
+        # gamma get zero gradient and the running variance only decays
+        rng = np.random.default_rng(17)
+        x, gamma, beta, g = (Tensor(rng.normal(size=3).astype(dtype), requires_grad=True)
+                             for _ in range(4))
+        state = BatchNormState(3, dtype=dtype)
+        out = T.batch_norm(x, gamma, beta, state, training=True)
+        T.backward(T.tsum(T.mul(out, Tensor(g.data))))
+        np.testing.assert_array_equal(out.data, beta.data)
+        np.testing.assert_array_equal(x.grad.data, np.zeros(3, dtype))
+        np.testing.assert_array_equal(gamma.grad.data, np.zeros(3, dtype))
+        np.testing.assert_array_equal(beta.grad.data, g.data)
+        np.testing.assert_array_equal(
+            state.running_mean, (0.9 * np.zeros(3, dtype) + 0.1 * x.data).astype(dtype))
+        np.testing.assert_array_equal(state.running_var, np.full(3, 0.9, dtype))
+        for arr in (out.data, x.grad.data, gamma.grad.data, beta.grad.data,
+                    state.running_mean, state.running_var):
+            assert arr.dtype == dtype and arr.shape == (3,)
 
     def test_gamma_beta_affine(self):
         x = np.random.default_rng(16).normal(size=(1, 6, 6))
@@ -540,7 +562,7 @@ class TestNoGrad:
         with T.no_grad():
             loss = T.tsum(x * x)
         with pytest.raises(ValueError, match=r"no_grad\(\)"):
-            loss.backward()
+            T.backward(loss)
         assert x.grad is None
 
     def test_nests_and_restores_on_error(self):
