@@ -3,11 +3,16 @@
 Exit codes: 0 success, 1 validation/usage error, 2 runtime or numeric
 failure. Thread counts are pinned to 1 before numpy loads so reruns of a
 command with the same flags and seed reproduce result files byte for byte.
+
+A flag for an ExperimentConfig field has the field's name as its dest. Defaults
+are read from ExperimentConfig, BackboneConfig and SequenceSpec; literal ones
+are the command line's own, except eval's --split, which repeats evaluate's.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -20,8 +25,8 @@ from .costs import compare_architectures, configuration_report
 from .errors import NumericError, ShapeError, UndefinedMetricError, ValidationError
 from .experiments import (ABLATION_AXES, ExperimentConfig, ablate, evaluate,
                           make_dataset, train)
-from .gradcheck import TOLERANCE, run_suite
-from .synth import DROPOUT_TARGETS, QUALITY_TIERS
+from .gradcheck import SUITES, TOLERANCE, run_suite
+from .synth import DROPOUT_TARGETS, QUALITY_TIERS, SequenceSpec
 from .tnsr import write_json
 from .unet import BackboneConfig
 
@@ -50,11 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
     g.add_argument("--out", required=True, help="dataset directory to create")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--t", type=int, default=3, help="frames per sequence")
-    g.add_argument("--size", type=int, default=64, help="square image extent")
-    g.add_argument("--tier", default="medium", choices=QUALITY_TIERS)
-    g.add_argument("--dropout-target", default="unannotated",
+    g.add_argument("--seed", type=int, default=SequenceSpec.seed)
+    g.add_argument("--t", dest="frames", type=int, default=SequenceSpec.frames,
+                   help="frames per sequence")
+    g.add_argument("--size", type=int, default=SequenceSpec.extents[0],
+                   help="square image extent")
+    g.add_argument("--tier", default=ExperimentConfig.tier, choices=QUALITY_TIERS)
+    g.add_argument("--dropout-target", default=SequenceSpec.dropout_target,
                    choices=DROPOUT_TARGETS, help="which frames dropout patches hit")
     g.add_argument("--train-cases", type=int, default=8)
     g.add_argument("--val-cases", type=int, default=2)
@@ -63,20 +70,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train one configuration")
     t.add_argument("--dataset", required=True)
-    t.add_argument("--out", required=True, help="run output directory")
-    t.add_argument("--config", default="C1", help="C1..C11")
-    t.add_argument("--t", type=int, default=2, help="frames fed per sequence")
-    t.add_argument("--heads", type=int, default=4)
-    t.add_argument("--d-embed", type=int, default=None)
-    t.add_argument("--steps", type=int, default=200)
-    t.add_argument("--batch-size", type=int, default=1)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--levels", type=int, default=5)
-    t.add_argument("--channels", type=_int_list,
-                   default=(16, 32, 64, 128, 256),
+    t.add_argument("--out", dest="outdir", required=True, help="run output directory")
+    t.add_argument("--config", dest="config_id", default=ExperimentConfig.config_id,
+                   help="C1..C11")
+    t.add_argument("--t", dest="frames", type=int, default=ExperimentConfig.frames,
+                   help="frames fed per sequence")
+    t.add_argument("--heads", type=int, default=ExperimentConfig.heads)
+    t.add_argument("--d-embed", type=int, default=ExperimentConfig.d_embed)
+    t.add_argument("--steps", type=int, default=ExperimentConfig.steps)
+    t.add_argument("--batch-size", type=int, default=ExperimentConfig.batch_size)
+    t.add_argument("--lr", type=float, default=ExperimentConfig.lr)
+    t.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    t.add_argument("--levels", type=int, default=ExperimentConfig.levels)
+    t.add_argument("--channels", type=_int_list, default=ExperimentConfig.channels,
                    help="comma-separated widths, one per level")
-    t.add_argument("--eval-every", type=int, default=25)
+    t.add_argument("--eval-every", type=int, default=ExperimentConfig.eval_every)
     t.add_argument("--quiet", action="store_true")
     t.set_defaults(func=cmd_train)
 
@@ -95,41 +103,39 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated cell values")
     a.add_argument("--seeds", type=_int_list, default=(0,),
                    help="comma-separated run seeds shared across cells")
-    a.add_argument("--seed", type=int, default=0,
+    a.add_argument("--seed", type=int, default=ExperimentConfig.seed,
                    help="base seed for dataset generation")
     a.add_argument("--workdir", required=True)
-    a.add_argument("--config", default="C1")
-    a.add_argument("--t", type=int, default=2)
-    a.add_argument("--heads", type=int, default=4)
+    a.add_argument("--config", dest="config_id", default=ExperimentConfig.config_id)
+    a.add_argument("--t", dest="frames", type=int, default=ExperimentConfig.frames)
+    a.add_argument("--heads", type=int, default=ExperimentConfig.heads)
     a.add_argument("--steps", type=int, default=60)
-    a.add_argument("--lr", type=float, default=1e-3)
+    a.add_argument("--lr", type=float, default=ExperimentConfig.lr)
     a.add_argument("--size", type=int, default=32)
-    a.add_argument("--tier", default="medium", choices=QUALITY_TIERS)
-    a.add_argument("--levels", type=int, default=5)
-    a.add_argument("--channels", type=_int_list,
-                   default=(8, 16, 32, 64, 128))
+    a.add_argument("--tier", default=ExperimentConfig.tier, choices=QUALITY_TIERS)
+    a.add_argument("--levels", type=int, default=ExperimentConfig.levels)
+    a.add_argument("--channels", type=_int_list, default=(8, 16, 32, 64, 128))
     a.add_argument("--train-cases", type=int, default=4)
     a.add_argument("--val-cases", type=int, default=1)
     a.add_argument("--test-cases", type=int, default=2)
-    a.add_argument("--dropout-target", default="unannotated",
+    a.add_argument("--dropout-target", default=SequenceSpec.dropout_target,
                    choices=DROPOUT_TARGETS)
     a.add_argument("--quiet", action="store_true")
     a.set_defaults(func=cmd_ablate)
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient suites")
-    c.add_argument("--scope", required=True, choices=("ops", "tam", "end2end"))
+    c.add_argument("--scope", required=True, choices=SUITES)
     c.add_argument("--seeds", type=int, default=None,
                    help="number of seeds (defaults per scope)")
     c.set_defaults(func=cmd_gradcheck)
 
     k = sub.add_parser("cost", help="closed-form MAC/FLOP/parameter report")
     k.add_argument("--configs", type=_csv_list, default=["C1", "C2", "C3"])
-    k.add_argument("--size", type=int, default=64)
-    k.add_argument("--t", type=int, default=2)
-    k.add_argument("--levels", type=int, default=5)
-    k.add_argument("--channels", type=_int_list,
-                   default=(16, 32, 64, 128, 256))
-    k.add_argument("--heads", type=int, default=4)
+    k.add_argument("--size", type=int, default=SequenceSpec.extents[0])
+    k.add_argument("--t", dest="frames", type=int, default=ExperimentConfig.frames)
+    k.add_argument("--levels", type=int, default=BackboneConfig.levels)
+    k.add_argument("--channels", type=_int_list, default=BackboneConfig.channels)
+    k.add_argument("--heads", type=int, default=BackboneConfig.heads)
     k.add_argument("--json", dest="json_out", default=None,
                    help="also write the reports as JSON to this path")
     k.set_defaults(func=cmd_cost)
@@ -137,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    make_dataset(args.out, seed=args.seed, size=args.size, frames=args.t,
+    make_dataset(args.out, seed=args.seed, size=args.size, frames=args.frames,
                  tier=args.tier,
                  counts={"train": args.train_cases, "val": args.val_cases,
                          "test": args.test_cases},
@@ -146,22 +152,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _experiment_config(args, dataset: str, outdir: str):
-    return ExperimentConfig(
-        config_id=args.config, frames=args.t, heads=args.heads,
-        d_embed=getattr(args, "d_embed", None), steps=args.steps,
-        batch_size=getattr(args, "batch_size", 1), lr=args.lr, seed=args.seed,
-        dataset=dataset, tier=getattr(args, "tier", "medium"), outdir=outdir,
-        levels=args.levels, channels=args.channels,
-        eval_every=getattr(args, "eval_every", 25))
+def _from_flags(cls, args):
+    """Build ``cls`` from the flags named after its fields; it defaults the rest."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls)
+                  if f.name in given})
 
 
 def cmd_train(args) -> int:
-    cfg = _experiment_config(args, args.dataset, args.out)
+    cfg = _from_flags(ExperimentConfig, args)
     log = None if args.quiet else (lambda msg: print(msg, flush=True))
     summary = train(cfg, log=log)
     print(f"final loss {summary['final_loss']:.4f} "
-          f"(initial {summary['initial_loss']:.4f}); outputs in {args.out}")
+          f"(initial {summary['initial_loss']:.4f}); outputs in {args.outdir}")
     return 0
 
 
@@ -180,7 +183,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     # ablate assigns per-cell dataset/outdir paths under --workdir
-    base = _experiment_config(args, dataset="", outdir="")
+    base = _from_flags(ExperimentConfig, args)
     log = None if args.quiet else (lambda msg: print(msg, flush=True))
     rows = ablate(args.axis, args.values, base,
                   seeds=args.seeds, workdir=args.workdir,
@@ -217,16 +220,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    base = BackboneConfig(levels=args.levels, channels=args.channels,
-                          heads=args.heads)
+    base = _from_flags(BackboneConfig, args)
     spatial = (args.size, args.size)
     reports = []
     for cid in args.configs:
-        rep = configuration_report(cid, base, spatial, args.t)
+        rep = configuration_report(cid, base, spatial, args.frames)
         reports.append(rep)
         print(rep.to_text())
     if len(args.configs) > 1:
-        print(compare_architectures(args.configs, base, spatial, args.t))
+        print(compare_architectures(args.configs, base, spatial, args.frames))
     if args.json_out:
         write_json(args.json_out, {"reports": [r.to_json_dict() for r in reports]})
     return 0

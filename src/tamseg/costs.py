@@ -103,13 +103,17 @@ def attention_pair_macs(n: int, d_embed: int) -> int:
     return 2 * n * n * d_embed
 
 
+def _check_frames(t: int) -> None:
+    if t < 1:
+        raise ValidationError(f"cost needs T >= 1, got {t}")
+
+
 def tam_rows(cfg: TamConfig, spatial, t: int, prefix: str = "tam") -> list[CostRow]:
     """Cost rows for one attention module applied to a T-frame stack.
 
     At T=1 the pair count is zero, leaving only the projection overhead.
     """
-    if t < 1:
-        raise ValidationError("attention cost needs T >= 1")
+    _check_frames(t)
     n = math.prod(spatial)
     pairs = t * (t - 1)
     c, d = cfg.channels, cfg.d_embed
@@ -140,6 +144,7 @@ def backbone_rows(config: BackboneConfig, input_spatial, t: int,
     ``fold_time`` (the time-as-channel baseline) every layer runs once on one
     volume whose leading axis is time.
     """
+    _check_frames(t)
     if fold_time:
         check_time_conv(config)
     check_extent(config, input_spatial)
@@ -194,12 +199,6 @@ def configuration_report(config_id: str, base: BackboneConfig, input_spatial,
     cls, cfg = resolve_configuration(config_id, base)
     label = f"{config_id} @ input {tuple(input_spatial)}, T={t}"
     return CostReport(label, backbone_rows(cfg, input_spatial, t, cls.FOLD_TIME))
-
-
-# a full-size operating point for headline comparisons
-FULL_SCALE = BackboneConfig(channels=(64, 128, 256, 512, 1024))
-FULL_INPUT = (256, 256)
-FULL_FRAMES = 2
 
 
 def tam_vs_time_conv(t: int, levels: int) -> dict:

@@ -26,9 +26,12 @@ from .optim import Adam
 from .synth import QUALITY_TIERS, SequenceSpec, load_dataset, write_dataset
 from .tensor import Tensor, assert_finite, backward, no_grad
 from .tnsr import atomic_write_text, read_bundle, write_bundle, write_json
-from .unet import BackboneConfig, build_model, lookup_configuration
+from .unet import FRAME_COUNTS, BackboneConfig, build_model, lookup_configuration
 
-ABLATION_AXES = ("config", "heads", "frames", "tier")
+# each ablation axis: the ExperimentConfig field it sets and the value's parser
+_AXIS_FIELDS = {"config": ("config_id", str), "heads": ("heads", int),
+                "frames": ("frames", int), "tier": ("tier", str)}
+ABLATION_AXES = tuple(_AXIS_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,8 @@ class ExperimentConfig:
 
     config_id: str = "C1"
     frames: int = 2
-    heads: int = 4
-    d_embed: int | None = None
+    heads: int = BackboneConfig.heads
+    d_embed: int | None = BackboneConfig.d_embed
     steps: int = 200
     batch_size: int = 1
     lr: float = 1e-3
@@ -46,16 +49,19 @@ class ExperimentConfig:
     dataset: str = ""
     tier: str = "medium"
     outdir: str = ""
-    levels: int = 5
-    channels: tuple[int, ...] = (16, 32, 64, 128, 256)
-    classes: int = 3
-    in_channels: int = 1
+    levels: int = BackboneConfig.levels
+    channels: tuple[int, ...] = BackboneConfig.channels
+    classes: int = BackboneConfig.classes
+    in_channels: int = BackboneConfig.in_channels
     eval_every: int = 25
 
     def __post_init__(self):
         lookup_configuration(self.config_id)
-        if not 2 <= self.frames <= 5:
-            raise ValidationError(f"frames must be in [2, 5], got {self.frames}")
+        if self.frames not in FRAME_COUNTS:
+            raise ValidationError(f"frames must be in [{FRAME_COUNTS[0]}, "
+                                  f"{FRAME_COUNTS[-1]}], got {self.frames}")
+        if self.tier not in QUALITY_TIERS:
+            raise ValidationError(f"unknown tier {self.tier!r}")
         if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ValidationError("steps, batch_size and eval_every must be >= 1")
         if self.lr < 0:
@@ -63,10 +69,9 @@ class ExperimentConfig:
         object.__setattr__(self, "channels", tuple(self.channels))
 
     def backbone(self) -> BackboneConfig:
-        return BackboneConfig(
-            spatial_rank=2, levels=self.levels, channels=self.channels,
-            in_channels=self.in_channels, classes=self.classes,
-            heads=self.heads, d_embed=self.d_embed)
+        return BackboneConfig(levels=self.levels, channels=self.channels,
+                              in_channels=self.in_channels, classes=self.classes,
+                              heads=self.heads, d_embed=self.d_embed)
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -294,10 +299,8 @@ def evaluate(checkpoint, dataset: str, outdir, split: str = "test",
 
 
 def make_dataset(root, seed: int, size: int, frames: int, tier: str,
-                 counts: dict[str, int] | None = None,
-                 dropout_target: str = "unannotated") -> None:
-    """Generate a train/val/test dataset directory from one base seed."""
-    counts = counts or {"train": 8, "val": 2, "test": 4}
+                 counts: dict[str, int], dropout_target: str) -> None:
+    """Generate ``counts[split]`` cases per split from one base seed."""
     splits: dict[str, list[SequenceSpec]] = {}
     offset = {"train": 0, "val": 10_000, "test": 20_000}
     for split, n in counts.items():
@@ -312,30 +315,31 @@ def make_dataset(root, seed: int, size: int, frames: int, tier: str,
 
 
 def ablate(axis: str, values: list[str], base: ExperimentConfig,
-           seeds: list[int], workdir, size: int = 32,
-           dataset_counts: dict[str, int] | None = None,
-           dropout_target: str = "unannotated", log=None) -> list[dict]:
+           seeds: list[int], workdir, size: int, dataset_counts: dict[str, int],
+           dropout_target: str, log=None) -> list[dict]:
     """Train/eval a sweep along one axis; one result row per (value, seed).
 
     ``config``/``heads`` cells share a dataset; ``frames``/``tier`` cells get
     their own (the sequences themselves change). Rows carry metric means over
     the test split plus closed-form FLOPs/params for the cell's architecture.
+    Every cell's value and architecture are checked before any file is made.
     """
     if axis not in ABLATION_AXES:
         raise ValidationError(f"unknown ablation axis {axis!r}; "
                               f"choose from {ABLATION_AXES}")
     workdir = Path(workdir)
+    cells = [_apply_axis(base, axis, value) for value in values]
+    # the cost walk refuses an architecture the cell's backbone cannot host
+    costs = [configuration_report(c.config_id, c.backbone(), (size, size), c.frames)
+             for c in cells]
     rows = []
-    for value in values:
-        cell = _apply_axis(base, axis, value)
+    for value, cell, cost in zip(values, cells, costs):
         data_key = f"{axis}_{value}" if axis in ("frames", "tier") else "shared"
         data_dir = workdir / "datasets" / data_key
         if not (data_dir / "manifest.json").exists():
             make_dataset(data_dir, seed=base.seed, size=size,
                          frames=cell.frames, tier=cell.tier,
                          counts=dataset_counts, dropout_target=dropout_target)
-        cost = configuration_report(cell.config_id, cell.backbone(),
-                                    (size, size), cell.frames)
         for seed in seeds:
             run = dataclasses.replace(
                 cell, seed=seed, dataset=str(data_dir),
@@ -362,16 +366,13 @@ def ablate(axis: str, values: list[str], base: ExperimentConfig,
 
 
 def _apply_axis(base: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:
-    if axis == "config":
-        return dataclasses.replace(base, config_id=value)
-    if axis == "heads":
-        return dataclasses.replace(base, heads=int(value))
-    if axis == "frames":
-        return dataclasses.replace(base, frames=int(value))
-    # axis == "tier": ablate refused every other axis
-    if value not in QUALITY_TIERS:
-        raise ValidationError(f"unknown tier {value!r}")
-    return dataclasses.replace(base, tier=value)
+    field, parse = _AXIS_FIELDS[axis]
+    try:
+        parsed = parse(value)
+    except ValueError:
+        raise ValidationError(f"ablation axis {axis!r} takes integers, "
+                              f"got {value!r}") from None
+    return dataclasses.replace(base, **{field: parsed})
 
 
 def _write_ablation(workdir: Path, axis: str, rows: list[dict],

@@ -185,11 +185,6 @@ def generate(spec: SequenceSpec) -> SequenceSample:
                           annotated=annotated)
 
 
-def cavity_measure(mask: SegmentationMask) -> int:
-    """Cavity voxel count: area in 2D, volume in 3D."""
-    return int(mask.region(CAVITY).sum())
-
-
 # -- dataset on disk ------------------------------------------------------------
 
 

@@ -27,6 +27,7 @@ from .tensor import (BatchNormState, Tensor, batch_norm, concat, conv_nd,
                      upsample_nearest)
 
 _SLOT_RE = re.compile(r"^([ED])([1-9][0-9]*)$")
+FRAME_COUNTS = range(2, 6)  # how many frames a model takes
 
 
 def valid_slots(levels: int) -> set[str]:
@@ -177,9 +178,9 @@ class _UNet(ParameterSet):
 
     def _validate_frames(self, frames: list[Tensor]) -> None:
         cfg = self.config
-        if not 2 <= len(frames) <= 5:
-            raise ValidationError(f"the backbone takes 2 to 5 frames, "
-                                  f"got {len(frames)}")
+        if len(frames) not in FRAME_COUNTS:
+            raise ValidationError(f"the backbone takes {FRAME_COUNTS[0]} to "
+                                  f"{FRAME_COUNTS[-1]} frames, got {len(frames)}")
         shape = frames[0].shape
         for i, f in enumerate(frames):
             if f.ndim != cfg.spatial_rank + 1:

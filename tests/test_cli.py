@@ -1,10 +1,18 @@
 """Exit codes, output files, and rerun determinism of the command line."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tamseg import cli
 from tamseg.cli import main
+from tamseg.experiments import ExperimentConfig
 from tamseg.tnsr import read_json, write_array, write_json
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*argv):
@@ -34,6 +42,36 @@ class TestUsageErrors:
 
     def test_bad_choice(self, capsys):
         assert run("gradcheck", "--scope", "everything") == 1
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``tamseg ...`` command in README.md's shell blocks, as argv."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("tamseg "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_readme_commands_parse(self):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == {
+            "gen", "train", "eval", "ablate", "gradcheck", "cost"}
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
+
+    def test_train_defaults_are_the_config_defaults(self, monkeypatch, capsys):
+        built = []
+
+        def fake_train(cfg, log=None):
+            built.append(cfg)
+            return {"initial_loss": 0.0, "final_loss": 0.0}
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        assert run("train", "--dataset", "d", "--out", "o") == 0
+        assert built == [ExperimentConfig(dataset="d", outdir="o")]
 
 
 class TestGen:
@@ -205,6 +243,12 @@ class TestCostCommand:
     def test_unknown_config_exit_1(self, capsys):
         assert run("cost", "--configs", "C99") == 1
 
+    def test_zero_frames_exit_1(self, capsys):
+        assert run("cost", "--configs", "C1", "--t", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "total" not in captured.out
+
 
 class TestAblateCommand:
     def test_tiny_sweep(self, tmp_path, capsys):
@@ -230,4 +274,16 @@ class TestAblateCommand:
                    "--seeds", "0,x", "--workdir", str(tmp_path / "w"))
         assert code == 1
         assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
+
+    @pytest.mark.parametrize("axis,values", [("heads", "x"), ("heads", "2,x"),
+                                             ("config", "C1,C4")])
+    def test_bad_value_exit_1_before_any_file(self, tmp_path, capsys, axis,
+                                              values):
+        # C4's slot E5 does not exist in a 2-level backbone
+        code = run("ablate", "--axis", axis, "--values", values,
+                   "--levels", "2", "--channels", "4,8",
+                   "--workdir", str(tmp_path / "w"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "w").exists()

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tamseg.attention import TamConfig, TamParams
-from tamseg.costs import (FULL_FRAMES, FULL_INPUT, FULL_SCALE,
-                          CostRow, attention_pair_macs,
+from tamseg.costs import (CostRow, attention_pair_macs,
                           compare_architectures, configuration_report,
                           conv_cost, tam_rows, tam_vs_time_conv)
 from tamseg.errors import ValidationError
@@ -14,6 +13,10 @@ from tamseg.unet import BackboneConfig, build_model
 
 DESK = BackboneConfig(channels=(16, 32, 64, 128, 256))
 DESK_INPUT = (64, 64)
+# a full-size operating point for headline comparisons
+FULL_SCALE = BackboneConfig(channels=(64, 128, 256, 512, 1024))
+FULL_INPUT = (256, 256)
+FULL_FRAMES = 2
 
 
 class TestConvCost:

@@ -19,7 +19,8 @@ TINY = dict(levels=2, channels=(4, 8), heads=1, steps=10, lr=1e-3,
 
 def tiny_dataset(root, seed=0, frames=2, tier="good"):
     make_dataset(root, seed=seed, size=32, frames=frames, tier=tier,
-                 counts={"train": 2, "val": 1, "test": 1})
+                 counts={"train": 2, "val": 1, "test": 1},
+                 dropout_target="unannotated")
 
 
 class TestExperimentConfig:
@@ -45,6 +46,8 @@ class TestExperimentConfig:
             ExperimentConfig(lr=-1.0)
         with pytest.raises(ValidationError):
             ExperimentConfig(batch_size=0)
+        with pytest.raises(ValidationError, match="tier"):
+            ExperimentConfig(tier="bogus")
 
     def test_train_requires_dataset(self):
         with pytest.raises(ValidationError, match="dataset"):
@@ -176,7 +179,7 @@ class TestEvaluation:
 
     def test_oracle_scores_annotated_frames_only(self, tmp_path):
         make_dataset(tmp_path / "ds", seed=0, size=32, frames=4, tier="good",
-                     counts={"train": 1, "test": 1})
+                     counts={"train": 1, "test": 1}, dropout_target="unannotated")
         result = evaluate(None, str(tmp_path / "ds"), tmp_path / "eval",
                           oracle=True)
         frames = {r["frame"] for r in result["rows"]}
@@ -199,7 +202,7 @@ class TestEvaluation:
 
     def test_missing_split_rejected(self, tmp_path):
         make_dataset(tmp_path / "ds", seed=0, size=32, frames=2, tier="good",
-                     counts={"train": 1})
+                     counts={"train": 1}, dropout_target="unannotated")
         with pytest.raises(ValidationError, match="test"):
             evaluate(None, str(tmp_path / "ds"), tmp_path / "eval",
                      oracle=True)
@@ -208,13 +211,15 @@ class TestEvaluation:
 class TestAblation:
     def test_axis_validated(self, tmp_path):
         with pytest.raises(ValidationError):
-            ablate("kernel", ["3"], ExperimentConfig(), [0], tmp_path)
+            ablate("kernel", ["3"], ExperimentConfig(), [0], tmp_path, size=32,
+                   dataset_counts={"train": 1}, dropout_target="unannotated")
 
     def test_config_axis_smoke(self, tmp_path):
         base = ExperimentConfig(**{**TINY, "steps": 3})
         rows = ablate("config", ["C1"], base, seeds=[0, 1],
-                      workdir=tmp_path / "work",
-                      dataset_counts={"train": 1, "val": 1, "test": 1})
+                      workdir=tmp_path / "work", size=32,
+                      dataset_counts={"train": 1, "val": 1, "test": 1},
+                      dropout_target="unannotated")
         assert len(rows) == 2
         for row in rows:
             assert row["axis"] == "config" and row["value"] == "C1"

@@ -5,11 +5,15 @@ import pytest
 
 from tamseg.errors import ValidationError
 from tamseg.synth import (BACKGROUND, CAVITY, WALL, QUALITY_TIERS,
-                          SequenceSpec, cavity_measure, generate,
-                          load_dataset, write_dataset)
+                          SequenceSpec, generate, load_dataset, write_dataset)
 from tamseg.tnsr import read_array, read_json, write_array, write_json
 
 SMALL = dict(extents=(32, 32), frames=3)
+
+
+def cavity_measure(mask) -> int:
+    """Cavity voxel count: area in 2D, volume in 3D."""
+    return int(mask.region(CAVITY).sum())
 
 
 class TestSpecValidation:
