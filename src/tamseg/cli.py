@@ -5,8 +5,8 @@ failure. Thread counts are pinned to 1 before numpy loads so reruns of a
 command with the same flags and seed reproduce result files byte for byte.
 
 A flag for an ExperimentConfig field has the field's name as its dest. Defaults
-are read from ExperimentConfig, BackboneConfig and SequenceSpec; literal ones
-are the command line's own, except eval's --split, which repeats evaluate's.
+are read from ExperimentConfig, BackboneConfig, SequenceSpec and
+experiments.EVAL_SPLIT; literal ones are the command line's own.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 from .costs import compare_architectures, configuration_report
 from .errors import NumericError, ShapeError, UndefinedMetricError, ValidationError
-from .experiments import (ABLATION_AXES, ExperimentConfig, ablate, evaluate,
-                          make_dataset, train)
+from .experiments import (ABLATION_AXES, EVAL_SPLIT, ExperimentConfig, ablate,
+                          evaluate, make_dataset, train)
 from .gradcheck import SUITES, TOLERANCE, run_suite
 from .synth import DROPOUT_TARGETS, QUALITY_TIERS, SequenceSpec
 from .tnsr import write_json
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", help="checkpoint bundle directory")
     e.add_argument("--dataset", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--split", default="test")
+    e.add_argument("--split", default=EVAL_SPLIT)
     e.add_argument("--oracle", action="store_true",
                    help="score ground truth against itself (reporting path check)")
     e.set_defaults(func=cmd_eval)

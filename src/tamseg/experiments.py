@@ -32,6 +32,8 @@ from .unet import FRAME_COUNTS, BackboneConfig, build_model, lookup_configuratio
 _AXIS_FIELDS = {"config": ("config_id", str), "heads": ("heads", int),
                 "frames": ("frames", int), "tier": ("tier", str)}
 ABLATION_AXES = tuple(_AXIS_FIELDS)
+# the dataset split evaluate scores unless told otherwise
+EVAL_SPLIT = "test"
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,8 @@ def select_frame_indices(available: int, want: int) -> list[int]:
     """Evenly spaced frame indices including both endpoints (ED and ES)."""
     if want < 2:
         raise ValidationError("need at least 2 frames")
-    want = min(want, available)
+    if want > available:
+        raise ValidationError(f"need {want} frames, the sequence has {available}")
     return sorted({int(round(i * (available - 1) / (want - 1)))
                    for i in range(want)})
 
@@ -126,24 +129,23 @@ def train(cfg: ExperimentConfig, log=None) -> dict:
     """
     if not cfg.dataset:
         raise ValidationError("config has no dataset path")
-    # a configuration the backbone cannot host fails before any file is made
+    # a configuration the backbone cannot host, a dataset with no train split
+    # and a case with fewer frames than the config feeds fail before any file
     rng = np.random.default_rng(cfg.seed)
     model = build_model(cfg.config_id, cfg.backbone(), rng)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_config(outdir, cfg)
-
     data = load_dataset(cfg.dataset)
     if "train" not in data or not data["train"]:
         raise ValidationError(f"dataset {cfg.dataset} has no train split")
     train_cases = data["train"]
     val_cases = data.get("val", [])
+    indices_for = {id(s): select_frame_indices(s.frames, cfg.frames)
+                   for split in data.values() for s in split}
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_config(outdir, cfg)
 
     params = model.named_parameters()
     opt = Adam(params.values(), lr=cfg.lr)
-
-    indices_for = {id(s): select_frame_indices(s.frames, cfg.frames)
-                   for split in data.values() for s in split}
 
     def val_loss() -> float:
         total = 0.0
@@ -237,31 +239,32 @@ def load_checkpoint(path) -> tuple[object, ExperimentConfig, dict]:
     return model, cfg, meta
 
 
-def evaluate(checkpoint, dataset: str, outdir, split: str = "test",
+def evaluate(checkpoint, dataset: str, outdir, split: str = EVAL_SPLIT,
              oracle: bool = False) -> dict:
     """Evaluate a checkpoint (or the identity oracle) on a dataset split.
 
     Emits metrics.csv, metrics.json, and per-metric ECDF CSVs into ``outdir``.
     The model runs under ``tensor.no_grad``. ``oracle=True`` scores the
     ground-truth masks against themselves, exercising the full reporting
-    path with known-perfect values.
+    path with known-perfect values. The split, the checkpoint and every
+    case's frames are checked before ``outdir`` is made.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     data = load_dataset(dataset)
     if split not in data or not data[split]:
         raise ValidationError(f"dataset {dataset} has no {split!r} split")
-    cases = data[split]
+    cases = sorted(data[split], key=lambda s: s.spec.seed)
 
     model = cfg = meta = None
     if not oracle:
         model, cfg, meta = load_checkpoint(checkpoint)
+    indices_for = [list(s.annotated) if oracle else
+                   select_frame_indices(s.frames, cfg.frames) for s in cases]
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     report = MetricReport()
-    for sample in sorted(cases, key=lambda s: s.spec.seed):
+    for sample, indices in zip(cases, indices_for):
         case_id = f"case_seed{sample.spec.seed}"
-        indices = (list(sample.annotated) if oracle else
-                   select_frame_indices(sample.frames, cfg.frames))
         preds: dict[int, SegmentationMask] = {}
         if oracle:
             for idx in sample.annotated:

@@ -399,28 +399,17 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        out_data = np.asarray(a.data.sum(), dtype=a.dtype)
+def tsum(a: Tensor) -> Tensor:
+    """Sum of all elements, as a 0-d tensor."""
+    def back(g):
+        _accum(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
 
-        def back(g):
-            _accum(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
-
-        return _result(out_data, (a,), back, "sum")
-
-    ax = axis if axis >= 0 else axis + a.ndim
-    if not 0 <= ax < a.ndim:
-        raise ShapeError(f"sum: axis {axis} invalid for shape {a.shape}")
-
-    def back_axis(g):
-        _accum(a, np.broadcast_to(np.expand_dims(g, ax), a.shape).astype(a.dtype, copy=False))
-
-    return _result(a.data.sum(axis=ax), (a,), back_axis, "sum")
+    return _result(np.asarray(a.data.sum(), dtype=a.dtype), (a,), back, "sum")
 
 
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
-    count = a.size if axis is None else a.shape[axis if axis >= 0 else axis + a.ndim]
-    return scale(tsum(a, axis), 1.0 / count)
+def mean(a: Tensor) -> Tensor:
+    """Mean of all elements, as a 0-d tensor."""
+    return scale(tsum(a), 1.0 / a.size)
 
 
 # -- structural ops -----------------------------------------------------------
@@ -437,16 +426,12 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(a.data.reshape(shape), (a,), back, "reshape")
 
 
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    axes = tuple(int(x) for x in axes)
-
+def transpose(a: Tensor) -> Tensor:
+    """Reverse the axes; for a matrix, its transpose."""
     def back(g):
-        inverse = sorted(range(len(axes)), key=axes.__getitem__)
-        _accum(a, np.ascontiguousarray(g.transpose(inverse)))
+        _accum(a, np.ascontiguousarray(g.transpose()))
 
-    return _result(np.ascontiguousarray(a.data.transpose(axes)), (a,), back, "transpose")
+    return _result(np.ascontiguousarray(a.data.transpose()), (a,), back, "transpose")
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -526,37 +511,6 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 # -- convolution ---------------------------------------------------------------
 
 
-def _per_axis(value, rank: int, name: str) -> tuple[int, ...]:
-    if isinstance(value, int):
-        return (value,) * rank
-    value = tuple(int(v) for v in value)
-    if len(value) != rank:
-        raise ShapeError(f"{name}: expected {rank} entries, got {len(value)}")
-    return value
-
-
-def _conv_geometry(in_spatial, kshape, stride, padding):
-    """Output extents plus (before, after) pad per axis."""
-    outs, pads = [], []
-    for n, k, s in zip(in_spatial, kshape, stride):
-        if padding == "same":
-            out = -(-n // s)  # ceil
-            total = max((out - 1) * s + k - n, 0)
-            before = total // 2
-            after = total - before
-        elif padding == "valid":
-            if k > n:
-                raise ShapeError(f"conv: kernel extent {k} exceeds input extent {n} "
-                                 "with valid padding")
-            out = (n - k) // s + 1
-            before = after = 0
-        else:
-            raise ValueError(f"conv: unknown padding mode {padding!r}")
-        outs.append(out)
-        pads.append((before, after))
-    return tuple(outs), pads
-
-
 # Elements of im2col columns gathered per GEMM tile. 2**16 elements are
 # 256 KiB of float32, about one core's L2 cache, so a tile's columns are still
 # cached when the matmul reads them; the whole-layer column matrix (tens of
@@ -567,15 +521,18 @@ CONV_TILE_ELEMS = 2 ** 16
 class _ConvPlan(NamedTuple):
     """Everything about one convolution that depends only on shapes."""
 
-    out_shape: tuple[int, ...]       # (C_out, *out_spatial)
+    out_shape: tuple[int, ...]       # (C_out, *spatial)
     out_tiles: tuple[int, int, int]  # (C_out, leading output positions, rows * width)
-    padded: tuple[int, ...] | None  # padded input shape; None when no pad is needed
+    # padded input shape, or None for a pointwise kernel (every extent 1): it
+    # needs no pad and reads every input position once, so the input viewed
+    # as (C_in, *out_tiles[1:]) is its own im2col matrix
+    padded: tuple[int, ...] | None
     crop: tuple[slice, ...]          # the input's place in the padded array
-    # a 1x1 kernel at stride 1 reads every input position once, so the input
-    # viewed as (C_in, *out_tiles[1:]) is its own im2col matrix; None otherwise
-    pointwise: tuple[int, int, int] | None
-    win_shape: tuple[int, ...]       # (C_in, *k, *out) window view ...
-    win_strides: tuple[int, ...]     # ... and its strides, in elements
+    # shape of the column source: the (C_in, *k, *out) window view of the
+    # padded input, whose strides in elements are win_strides, or for a
+    # pointwise kernel the input as (C_in, *out_tiles[1:])
+    src_shape: tuple[int, ...]
+    win_strides: tuple[int, ...]
     col_rows: int                    # C_in * prod(k)
     # (flat leading index, column-source index, output column slice,
     #  column-gradient shape) per tile
@@ -586,14 +543,14 @@ class _ConvPlan(NamedTuple):
     macs: int
 
 
-# Distinct (input shape, kernel shape, stride, padding) combinations a model
-# uses number a few dozen; the bound only keeps a shape sweep from growing
-# the cache without limit.
+# Distinct (input, kernel, bias) shape combinations a model uses number a few
+# dozen; the bound only keeps a shape sweep from growing the cache without
+# limit.
 CONV_PLAN_CACHE = 256
 
 
 @functools.lru_cache(maxsize=CONV_PLAN_CACHE)
-def _conv_plan(x_shape, k_shape, b_shape, strides, padding) -> _ConvPlan:
+def _conv_plan(x_shape, k_shape, b_shape) -> _ConvPlan:
     """Check the operand shapes and plan the convolution; ``b_shape`` is None without bias."""
     spatial = x_shape[1:]
     rank = len(spatial)
@@ -607,20 +564,19 @@ def _conv_plan(x_shape, k_shape, b_shape, strides, padding) -> _ConvPlan:
         raise ShapeError(f"conv: input has {x_shape[0]} channels but kernel expects {c_in}")
     if b_shape is not None and b_shape != (c_out,):
         raise ShapeError(f"conv: bias shape {b_shape} != ({c_out},)")
-    out_spatial, pads = _conv_geometry(spatial, kshape, strides, padding)
-    padded = (c_in,) + tuple(n + b + a for n, (b, a) in zip(spatial, pads))
-    crop = (slice(None),) + tuple(slice(b, b + n) for (b, _), n in zip(pads, spatial))
+    # "same" at stride 1: k - 1 pad per axis, the odd one after
+    padded = (c_in,) + tuple(n + k - 1 for n, k in zip(spatial, kshape))
+    crop = (slice(None),) + tuple(slice((k - 1) // 2, (k - 1) // 2 + n)
+                                  for n, k in zip(spatial, kshape))
     # C-contiguous element strides of the padded array
     steps = tuple(math.prod(padded[d + 1:]) for d in range(len(padded)))
     col_rows = c_in * math.prod(kshape)
-    rows, width = out_spatial[-2:]
-    leads = math.prod(out_spatial[:-2])
-    pointwise = ((c_in, leads, rows * width)
-                 if all(k == 1 for k in kshape) and all(s == 1 for s in strides)
-                 else None)
+    rows, width = spatial[-2:]
+    leads = math.prod(spatial[:-2])
+    pointwise = all(k == 1 for k in kshape)
     block = max(1, CONV_TILE_ELEMS // (col_rows * width))
     tiles = []
-    for flat, lead in enumerate(np.ndindex(*out_spatial[:-2])):
+    for flat, lead in enumerate(np.ndindex(*spatial[:-2])):
         for r0 in range(0, rows, block):
             r1 = min(r0 + block, rows)
             cols = slice(r0 * width, r1 * width)
@@ -631,20 +587,19 @@ def _conv_plan(x_shape, k_shape, b_shape, strides, padding) -> _ConvPlan:
                 tiles.append((flat, (Ellipsis,) + lead + (slice(r0, r1), slice(None)),
                               cols, (c_in, *kshape, r1 - r0, width)))
     return _ConvPlan(
-        out_shape=(c_out, *out_spatial),
+        out_shape=(c_out, *spatial),
         out_tiles=(c_out, leads, rows * width),
-        padded=padded if any(b or a for b, a in pads) else None,
+        padded=None if pointwise else padded,
         crop=crop,
-        pointwise=pointwise,
-        win_shape=(c_in, *kshape, *out_spatial),
-        win_strides=steps + tuple(st * s for st, s in zip(steps[1:], strides)),
+        src_shape=(c_in, leads, rows * width) if pointwise else (c_in, *kshape, *spatial),
+        win_strides=steps + steps[1:],
         col_rows=col_rows,
         tiles=tuple(tiles),
         offsets=(((Ellipsis,),) if pointwise
                  else tuple((slice(None),) + off for off in np.ndindex(*kshape))),
         bias_shape=(c_out,) + (1,) * rank,
         spatial_axes=tuple(range(1, rank + 1)),
-        macs=col_rows * c_out * math.prod(out_spatial))
+        macs=col_rows * c_out * math.prod(spatial))
 
 
 def _columns(a: np.ndarray, plan: _ConvPlan) -> np.ndarray:
@@ -654,22 +609,23 @@ def _columns(a: np.ndarray, plan: _ConvPlan) -> np.ndarray:
     to (C * prod(k), tile) gives that tile's im2col columns. For a pointwise
     plan it is the array itself as (C, leads, rows * width). Otherwise it is
     the (C, *k, *out) window view: entry [c, *off, *pos] is
-    ``a[c, *(pos * stride + off)]``, and for one fixed kernel offset the view
-    holds distinct elements. Building it on ``a`` as a buffer checks that the
-    view stays inside ``a``.
+    ``a[c, *(pos + off)]``, and for one fixed kernel offset the view holds
+    distinct elements. Building it on ``a`` as a buffer checks that the view
+    stays inside ``a``.
     """
-    if plan.pointwise is not None:
-        return a.reshape(plan.pointwise)
-    return np.ndarray(plan.win_shape, a.dtype, buffer=a,
+    if plan.padded is None:
+        return a.reshape(plan.src_shape)
+    return np.ndarray(plan.src_shape, a.dtype, buffer=a,
                       strides=tuple(s * a.itemsize for s in plan.win_strides))
 
 
-def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
-            stride=1, padding: str = "same") -> Tensor:
+def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Cross-correlation of a (C_in, *spatial) input with a (C_out, C_in, *k) kernel.
 
-    Supports 2 or 3 spatial dimensions. ``padding`` is "same" (extent-preserving
-    at stride 1) or "valid". The kernel is not flipped.
+    Supports 2 or 3 spatial dimensions. The correlation is "same" at stride
+    1: the output keeps the input's extents, and each axis is zero-padded by
+    ``(k - 1) // 2`` before and the rest of ``k - 1`` after. The kernel is not
+    flipped.
 
     The convolution is an im2col GEMM (Chellapilla et al. 2006, "High
     Performance Convolutional Neural Networks for Document Processing"), tiled
@@ -683,15 +639,12 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     ``dW += g_tile @ cols.T``, and ``dcols = W.T @ g_tile`` is scattered into
     the padded input gradient with one strided add per kernel offset (col2im).
 
-    The shape-only part of this (shape checks, extents, pads, tile list) is
-    planned once per shape combination and cached. When no pad is needed the
-    input itself is the padded array, and a 1x1 kernel at stride 1 reads its
-    columns straight from the input, with no window view.
+    The shape-only part of this (shape checks, pads, tile list) is planned
+    once per shape combination and cached. A pointwise (1x1) kernel needs no
+    pad and reads its columns straight from the input, with no window view.
     """
-    x_shape = x.data.shape
-    plan = _conv_plan(x_shape, kernel.data.shape,
-                      None if bias is None else bias.data.shape,
-                      _per_axis(stride, len(x_shape) - 1, "stride"), padding)
+    plan = _conv_plan(x.data.shape, kernel.data.shape,
+                      None if bias is None else bias.data.shape)
     if plan.padded is None:
         x_pad = x.data
     else:
@@ -737,6 +690,15 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
 
 # -- pooling / upsampling -------------------------------------------------------
+
+
+def _per_axis(value, rank: int, name: str) -> tuple[int, ...]:
+    if isinstance(value, int):
+        return (value,) * rank
+    value = tuple(int(v) for v in value)
+    if len(value) != rank:
+        raise ShapeError(f"{name}: expected {rank} entries, got {len(value)}")
+    return value
 
 
 def max_pool(x: Tensor, factor=2) -> Tensor:

@@ -164,7 +164,8 @@ class TestOpSuite:
         names = {r.name for r in run_op_suite(seeds=range(1))}
         expected = {"matmul", "softmax", "conv2d_same", "conv3d_same",
                     "max_pool2d", "upsample2d", "batch_norm_train",
-                    "batch_norm_eval", "concat", "slice", "clip", "div"}
+                    "batch_norm_eval", "concat", "slice", "clip", "div",
+                    "max_pool_122", "upsample_122", "softmax_axis0", "concat_axis1"}
         assert expected <= names
 
     def test_reported_errors_are_small(self):

@@ -193,6 +193,28 @@ class TestTrainEval:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run").exists()
 
+    def test_more_frames_than_the_dataset_exit_1_before_any_file(self, tmp_path, capsys):
+        ds = gen_tiny(tmp_path)  # two frames per sequence
+        args = self.train_args(ds, tmp_path / "run")
+        args[args.index("--t") + 1] = "4"
+        capsys.readouterr()
+        assert run(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "need 4 frames" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_refuses_fewer_frames_before_any_file(self, tmp_path, capsys):
+        args = self.train_args(gen_tiny(tmp_path, "ds3", frames=3), tmp_path / "run",
+                               steps="2")
+        args[args.index("--t") + 1] = "3"
+        assert run(*args) == 0
+        capsys.readouterr()
+        code = run("eval", "--checkpoint", str(tmp_path / "run" / "checkpoint_best"),
+                   "--dataset", str(gen_tiny(tmp_path)), "--out", str(tmp_path / "eval"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "eval").exists()
+
     def test_train_rerun_byte_identical(self, tmp_path):
         ds = gen_tiny(tmp_path)
         out = tmp_path / "run"

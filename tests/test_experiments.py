@@ -71,8 +71,10 @@ class TestFrameSelection:
         assert select_frame_indices(4, 2) == [0, 3]
         assert select_frame_indices(2, 2) == [0, 1]
 
-    def test_want_capped_at_available(self):
-        assert select_frame_indices(3, 10) == [0, 1, 2]
+    def test_want_above_available_refused(self):
+        assert select_frame_indices(3, 3) == [0, 1, 2]
+        with pytest.raises(ValidationError, match="need 4 frames"):
+            select_frame_indices(3, 4)
 
     def test_minimum(self):
         with pytest.raises(ValidationError):

@@ -87,15 +87,12 @@ class TestReductionsAndShape:
     def test_sum_and_mean(self):
         tx = Tensor(self.x)
         np.testing.assert_allclose(T.tsum(tx).item(), self.x.sum())
-        np.testing.assert_allclose(T.tsum(tx, axis=1).data, self.x.sum(axis=1))
         np.testing.assert_allclose(T.mean(tx).item(), self.x.mean())
-        np.testing.assert_allclose(T.mean(tx, axis=0).data, self.x.mean(axis=0))
 
     def test_reshape_transpose(self):
         tx = Tensor(self.x)
         np.testing.assert_allclose(T.reshape(tx, (6, 4)).data, self.x.reshape(6, 4))
-        np.testing.assert_allclose(T.transpose(tx, (2, 0, 1)).data,
-                                   self.x.transpose(2, 0, 1))
+        np.testing.assert_allclose(T.transpose(tx).data, self.x.transpose(2, 1, 0))
         np.testing.assert_allclose(T.transpose(Tensor(self.x[0])).data, self.x[0].T)
 
     def test_concat_slice_roundtrip(self):
@@ -136,24 +133,21 @@ class TestMatmulSoftmax:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-def conv2d_naive(x, w, b=None, stride=1, padding="same"):
-    """Reference cross-correlation, plain loops. Slow but obviously right."""
+def same_pads(kshape):
+    """(before, after) zero pad per axis that keeps the extents at stride 1."""
+    return [((k - 1) // 2, k - 1 - (k - 1) // 2) for k in kshape]
+
+
+def conv2d_naive(x, w, b=None):
+    """Reference "same" cross-correlation, plain loops. Slow but obviously right."""
     c_out, c_in, kh, kw = w.shape
-    if padding == "same":
-        oh = -(-x.shape[1] // stride)
-        ow = -(-x.shape[2] // stride)
-        ph = max((oh - 1) * stride + kh - x.shape[1], 0)
-        pw = max((ow - 1) * stride + kw - x.shape[2], 0)
-        x = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)))
-    else:
-        oh = (x.shape[1] - kh) // stride + 1
-        ow = (x.shape[2] - kw) // stride + 1
+    oh, ow = x.shape[1:]
+    x = np.pad(x, [(0, 0)] + same_pads((kh, kw)))
     out = np.zeros((c_out, oh, ow), dtype=x.dtype)
     for o in range(c_out):
         for i in range(oh):
             for j in range(ow):
-                patch = x[:, i * stride:i * stride + kh, j * stride:j * stride + kw]
-                out[o, i, j] = np.sum(patch * w[o])
+                out[o, i, j] = np.sum(x[:, i:i + kh, j:j + kw] * w[o])
     if b is not None:
         out += b[:, None, None]
     return out
@@ -169,18 +163,6 @@ class TestConv:
     def test_same_padding_matches_naive(self):
         got = T.conv_nd(Tensor(self.x), Tensor(self.w), Tensor(self.b)).data
         np.testing.assert_allclose(got, conv2d_naive(self.x, self.w, self.b),
-                                   rtol=1e-10, atol=1e-12)
-
-    def test_valid_padding_matches_naive(self):
-        got = T.conv_nd(Tensor(self.x), Tensor(self.w), padding="valid").data
-        np.testing.assert_allclose(got, conv2d_naive(self.x, self.w, padding="valid"),
-                                   rtol=1e-10, atol=1e-12)
-
-    def test_stride_two_matches_naive(self):
-        x = np.random.default_rng(2).normal(size=(2, 8, 8))
-        w = np.random.default_rng(3).normal(size=(3, 2, 3, 3))
-        got = T.conv_nd(Tensor(x), Tensor(w), stride=2).data
-        np.testing.assert_allclose(got, conv2d_naive(x, w, stride=2),
                                    rtol=1e-10, atol=1e-12)
 
     def test_conv3d_identity_kernel(self):
@@ -203,22 +185,22 @@ class TestConv:
         assert out[0, 0, 0] == 4.0  # corner sees a 2x2 window under same padding
 
 
-def conv_nd_tensordot(x, w, b=None, stride=1, padding="same"):
+def conv_nd_tensordot(x, w, b=None):
     """The engine's former convolution, kept as the oracle of the im2col GEMM.
 
     One tensordot per kernel offset, forward and backward. Returns the output
     and a function mapping an upstream gradient to (dx, dw, db).
     """
     rank = x.ndim - 1
-    strides = (stride,) * rank
     kshape = w.shape[2:]
-    out_spatial, pads = T._conv_geometry(x.shape[1:], kshape, strides, padding)
+    out_spatial = x.shape[1:]
+    pads = same_pads(kshape)
     x_pad = np.pad(x, [(0, 0)] + pads)
     out = np.zeros((w.shape[0], *out_spatial), dtype=x.dtype)
     windows = {}
     for off in itertools.product(*[range(k) for k in kshape]):
         windows[off] = (slice(None),) + tuple(
-            slice(o, o + s * n, s) for o, s, n in zip(off, strides, out_spatial))
+            slice(o, o + n) for o, n in zip(off, out_spatial))
         out += np.tensordot(w[(slice(None), slice(None)) + off], x_pad[windows[off]],
                             axes=([1], [0]))
     if b is not None:
@@ -243,29 +225,27 @@ def conv_nd_tensordot(x, w, b=None, stride=1, padding="same"):
 class TestConvMatchesTensordotOracle:
     """Shapes span several GEMM tiles with a ragged last one, and the 3D
     shapes have several leading output indices. The 1x1 kernels take the
-    pointwise path at stride 1 and the window view at stride 2."""
+    pointwise path."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("x_shape, w_shape", [
         ((16, 64, 64), (8, 16, 3, 3)),
         ((8, 4, 31, 64), (6, 8, 3, 3, 3)),
         ((64, 70, 64), (8, 64, 1, 1)),
         ((128, 3, 70, 32), (8, 128, 1, 1, 1)),
     ])
-    def test_output_and_gradients(self, x_shape, w_shape, padding, stride, dtype):
+    def test_output_and_gradients(self, x_shape, w_shape, dtype):
         rng = np.random.default_rng(31)
         x = rng.normal(size=x_shape).astype(dtype)
         w = rng.normal(size=w_shape).astype(dtype)
         b = rng.normal(size=w_shape[0]).astype(dtype)
-        ref_out, ref_back = conv_nd_tensordot(x, w, b, stride, padding)
+        ref_out, ref_back = conv_nd_tensordot(x, w, b)
         rows, width = ref_out.shape[-2:]
         per_tile = T.CONV_TILE_ELEMS // (int(np.prod(w_shape[1:])) * width)
         assert rows > per_tile and rows % per_tile, "shape must span ragged tiles"
 
         tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        out = T.conv_nd(tx, tw, tb, stride=stride, padding=padding)
+        out = T.conv_nd(tx, tw, tb)
         g = rng.normal(size=ref_out.shape).astype(dtype)
         T.backward(T.tsum(T.mul(out, Tensor(g))))
 
@@ -277,24 +257,25 @@ class TestConvMatchesTensordotOracle:
 
 
 class TestConvPlanCache:
-    """The shape-only plan is cached per (input, kernel, stride, padding)."""
+    """The shape-only plan is cached per (input, kernel, bias) shape."""
 
-    CASES = [  # (x shape, w shape, stride, padding), interleaved on purpose
-        ((3, 9, 7), (4, 3, 3, 3), 1, "same"),
-        ((2, 4, 5, 6), (3, 2, 3, 3, 3), 2, "same"),
-        ((3, 9, 7), (4, 3, 3, 3), 2, "valid"),
-        ((5, 6, 6), (2, 5, 1, 1), 1, "same"),
-        ((3, 9, 7), (4, 3, 3, 3), 1, "valid"),
-        ((2, 4, 5, 6), (3, 2, 3, 3, 3), 1, "valid"),
-        ((5, 6, 6), (2, 5, 1, 1), 2, "same"),
-        ((3, 9, 7), (4, 3, 3, 3), 2, "same"),
+    CASES = [  # (x shape, w shape, bias), interleaved on purpose
+        ((3, 9, 7), (4, 3, 3, 3), False),
+        ((2, 4, 5, 6), (3, 2, 3, 3, 3), False),
+        ((3, 9, 7), (4, 3, 3, 3), True),
+        ((5, 6, 6), (2, 5, 1, 1), False),
+        ((3, 9, 7), (4, 3, 3, 2), False),  # an even extent pads one more after
+        ((2, 4, 5, 6), (3, 2, 1, 1, 1), True),
+        ((5, 6, 6), (2, 5, 1, 1), True),
+        ((3, 9, 7), (4, 3, 3, 3), False),
     ]
 
-    def _check(self, x_shape, w_shape, stride, padding, rng):
+    def _check(self, x_shape, w_shape, bias, rng):
         x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
-        ref_out, ref_back = conv_nd_tensordot(x, w, None, stride, padding)
+        b = rng.normal(size=w_shape[0]) if bias else None
+        ref_out, ref_back = conv_nd_tensordot(x, w, b)
         tx, tw = Tensor(x.copy(), requires_grad=True), Tensor(w, requires_grad=True)
-        out = T.conv_nd(tx, tw, stride=stride, padding=padding)
+        out = T.conv_nd(tx, tw, None if b is None else Tensor(b))
         g = rng.normal(size=ref_out.shape)
         T.backward(T.tsum(T.mul(out, Tensor(g))))
         ref_dx, ref_dw, _ = ref_back(g)
@@ -310,27 +291,23 @@ class TestConvPlanCache:
                 self._check(*case, rng)
         assert T._conv_plan.cache_info().hits >= len(self.CASES)
 
-    @pytest.mark.parametrize("w_shape, padding", [
-        ((4, 3, 1, 1), "same"), ((4, 3, 1, 1), "valid"), ((4, 3, 3, 2), "valid")])
-    def test_unpadded_conv_keeps_input_apart(self, w_shape, padding):
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((3, 5, 6), (4, 3, 1, 1)), ((3, 2, 5, 6), (4, 3, 1, 1, 1))])
+    def test_unpadded_conv_keeps_input_apart(self, x_shape, w_shape):
         rng = np.random.default_rng(42)
         for _ in range(2):
-            x = rng.normal(size=(3, 5, 6))
+            x = rng.normal(size=x_shape)
             tx = Tensor(x.copy(), requires_grad=True)
-            out = T.conv_nd(tx, Tensor(rng.normal(size=w_shape)), padding=padding)
+            out = T.conv_nd(tx, Tensor(rng.normal(size=w_shape)))
             assert not np.shares_memory(out.data, tx.data)
             out.data[...] = 7.0  # writing the output must not reach the input
             np.testing.assert_array_equal(tx.data, x)
-        self._check((3, 5, 6), w_shape, 1, padding, rng)
+        self._check(x_shape, w_shape, False, rng)
 
     def test_bad_geometry_raises_every_call(self):
         x = Tensor(np.zeros((1, 4, 4)))
         for _ in range(3):
-            with pytest.raises(ValueError, match="padding"):
-                T.conv_nd(x, Tensor(np.zeros((1, 1, 3, 3))), padding="full")
-            with pytest.raises(ShapeError, match="exceeds"):
-                T.conv_nd(x, Tensor(np.zeros((1, 1, 5, 3))), padding="valid")
-            # the operand checks live in the cached plan too
+            # the operand checks live in the cached plan, and errors are not cached
             with pytest.raises(ShapeError, match="channels"):
                 T.conv_nd(x, Tensor(np.zeros((1, 2, 1, 1))))
             with pytest.raises(ShapeError, match="bias"):
@@ -381,9 +358,9 @@ class TestResultInvariant:
         def leaf(*shape):
             return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
 
-        x, k, m = leaf(2, 5, 6), leaf(3, 2, 3, 3), leaf(4, 6)
+        x, k, k1, m = leaf(2, 5, 6), leaf(3, 2, 3, 3), leaf(3, 2, 1, 1), leaf(4, 6)
         gamma, beta = leaf(3), leaf(3)
-        conv = T.conv_nd(x, k, stride=2)
+        conv = T.conv_nd(x, k1)
         normed = T.batch_norm(T.conv_nd(x, k), gamma, beta, BatchNormState(3), True)
         attn = T.matmul(T.softmax(m, axis=1), T.transpose(m))
         parts = T.concat([T.slice_axis(m, 0, 0, 2), T.sigmoid(m)], axis=0)
@@ -393,7 +370,7 @@ class TestResultInvariant:
         for out, _ in made:
             self._assert_node(out, np.float32)
         T.backward(loss)
-        for t in (x, k, m, gamma, beta):
+        for t in (x, k, k1, m, gamma, beta):
             self._assert_node(t.grad, np.float32)
 
     def test_odd_arrays_are_normalized_or_refused(self):
