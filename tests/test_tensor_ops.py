@@ -95,6 +95,27 @@ class TestReductionsAndShape:
         np.testing.assert_allclose(T.transpose(tx).data, self.x.transpose(2, 1, 0))
         np.testing.assert_allclose(T.transpose(Tensor(self.x[0])).data, self.x[0].T)
 
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3), (2, 3, 4)])
+    def test_sum_and_mean_reduce_every_element(self, shape):
+        x = np.random.default_rng(9).normal(size=shape)
+        for op, value, slope in ((T.tsum, x.sum(), 1.0), (T.mean, x.mean(), 1.0 / x.size)):
+            tx = Tensor(x, requires_grad=True)
+            out = op(tx)
+            assert out.shape == ()
+            np.testing.assert_allclose(out.item(), value, rtol=1e-12)
+            T.backward(out)
+            np.testing.assert_allclose(tx.grad.data, np.full(shape, slope))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (2, 3, 4), (2, 1, 3, 4)])
+    def test_transpose_reverses_every_axis(self, shape):
+        rng = np.random.default_rng(10)
+        x, g = rng.normal(size=shape), rng.normal(size=shape[::-1])
+        tx = Tensor(x, requires_grad=True)
+        out = T.transpose(tx)
+        np.testing.assert_array_equal(out.data, np.transpose(x))
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        np.testing.assert_array_equal(tx.grad.data, np.transpose(g))
+
     def test_concat_slice_roundtrip(self):
         tx = Tensor(self.x)
         parts = [T.slice_axis(tx, 1, i, i + 1) for i in range(3)]
@@ -160,10 +181,23 @@ class TestConv:
         self.w = rng.normal(size=(4, 3, 3, 3))
         self.b = rng.normal(size=4)
 
-    def test_same_padding_matches_naive(self):
-        got = T.conv_nd(Tensor(self.x), Tensor(self.w), Tensor(self.b)).data
-        np.testing.assert_allclose(got, conv2d_naive(self.x, self.w, self.b),
+    @pytest.mark.parametrize("kshape", [
+        (3, 3), (1, 1), (2, 2), (2, 3), (3, 2), (1, 4), (4, 5), (5, 5)])
+    def test_same_padding_matches_naive(self, kshape):
+        w = np.random.default_rng(22).normal(size=(4, 3) + kshape)
+        got = T.conv_nd(Tensor(self.x), Tensor(w), Tensor(self.b)).data
+        np.testing.assert_allclose(got, conv2d_naive(self.x, w, self.b),
                                    rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_same_window_placement_3d(self, k):
+        # an all-ones kernel on all-ones input counts, per output voxel, the
+        # kernel cells inside the volume: (k-1)//2 cells before it, the rest after
+        spatial = (5, 6, 7)
+        out = T.conv_nd(Tensor(np.ones((1,) + spatial)), Tensor(np.ones((1, 1, k, k, k)))).data
+        counts = [np.array([min(i + k - 1 - (k - 1) // 2, n - 1) - max(i - (k - 1) // 2, 0) + 1
+                            for i in range(n)]) for n in spatial]
+        np.testing.assert_array_equal(out[0], np.einsum("i,j,l->ijl", *counts))
 
     def test_conv3d_identity_kernel(self):
         # 1x1x1 kernel with identity mixing leaves the volume unchanged
@@ -225,7 +259,7 @@ def conv_nd_tensordot(x, w, b=None):
 class TestConvMatchesTensordotOracle:
     """Shapes span several GEMM tiles with a ragged last one, and the 3D
     shapes have several leading output indices. The 1x1 kernels take the
-    pointwise path."""
+    pointwise path, and the even extents pad one more after than before."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("x_shape, w_shape", [
@@ -233,6 +267,8 @@ class TestConvMatchesTensordotOracle:
         ((8, 4, 31, 64), (6, 8, 3, 3, 3)),
         ((64, 70, 64), (8, 64, 1, 1)),
         ((128, 3, 70, 32), (8, 128, 1, 1, 1)),
+        ((16, 60, 64), (8, 16, 2, 4)),
+        ((8, 4, 31, 64), (6, 8, 2, 3, 4)),
     ])
     def test_output_and_gradients(self, x_shape, w_shape, dtype):
         rng = np.random.default_rng(31)
@@ -405,6 +441,14 @@ class TestPoolUpsample:
         out = T.upsample_nearest(Tensor(x), 2).data
         np.testing.assert_allclose(out[0, :2, :2], np.ones((2, 2)))
         np.testing.assert_allclose(out[0, 2:, 2:], 4 * np.ones((2, 2)))
+
+    def test_frame_axis_kept_at_factor_122(self):
+        # C2 pools and upsamples its (C, T, H, W) frame stack at (1, 2, 2)
+        x = np.arange(2 * 3 * 4 * 4, dtype=np.float64).reshape(2, 3, 4, 4)
+        pooled = T.max_pool(Tensor(x), (1, 2, 2)).data
+        np.testing.assert_array_equal(pooled, x[..., 1::2, 1::2])
+        up = T.upsample_nearest(Tensor(pooled), (1, 2, 2)).data
+        np.testing.assert_array_equal(up, pooled.repeat(2, axis=2).repeat(2, axis=3))
 
     def test_pool_then_upsample_shape(self):
         x = Tensor(np.random.default_rng(8).normal(size=(3, 8, 8)))
