@@ -7,18 +7,47 @@ voxel spacing. Hausdorff distance is the exact symmetric maximum (100th
 percentile); MASD averages the two directed mean surface distances. Metrics
 over an empty region are undefined and raise rather than defaulting to a
 number.
+
+``scipy.ndimage`` loads on the first surface metric, not at import, since
+training, cost tables and gradient checks never use it. A missing scipy still
+fails this module's import.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
+import sys
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ShapeError, UndefinedMetricError, ValidationError
+
+
+def _lazy_module(name: str) -> types.ModuleType:
+    """Module ``name``, run on its first attribute access (``importlib.util.LazyLoader``).
+
+    Finding it imports its parent packages, so a missing package raises
+    ``ImportError`` here. A module already imported is returned as it is.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# a module attribute read at call time, which perfbench/tracer.py rebinds
+ndimage = _lazy_module("scipy.ndimage")
 
 
 @dataclass

@@ -537,7 +537,10 @@ class _ConvPlan(NamedTuple):
     # (flat leading index, column-source index, output column slice,
     #  column-gradient shape) per tile
     tiles: tuple[tuple[int, tuple, slice, tuple[int, ...]], ...]
-    offsets: tuple[tuple, ...]       # one column-gradient index per kernel offset
+    # column-gradient indices, one per in-plane kernel offset: a tile holds
+    # one index of each leading output axis, so the kernel offsets along
+    # those axes write disjoint planes and one strided add covers them all
+    offsets: tuple[tuple, ...]
     bias_shape: tuple[int, ...]      # (C_out, 1, ...), broadcast over the output
     spatial_axes: tuple[int, ...]
     macs: int
@@ -596,7 +599,8 @@ def _conv_plan(x_shape, k_shape, b_shape) -> _ConvPlan:
         col_rows=col_rows,
         tiles=tuple(tiles),
         offsets=(((Ellipsis,),) if pointwise
-                 else tuple((slice(None),) + off for off in np.ndindex(*kshape))),
+                 else tuple((slice(None),) * (rank - 1) + off
+                            for off in np.ndindex(*kshape[-2:]))),
         bias_shape=(c_out,) + (1,) * rank,
         spatial_axes=tuple(range(1, rank + 1)),
         macs=col_rows * c_out * math.prod(spatial))
@@ -637,7 +641,8 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     budget, so no layer's whole column matrix is built. The backward walks the
     same tiles and recomputes their columns from the padded input:
     ``dW += g_tile @ cols.T``, and ``dcols = W.T @ g_tile`` is scattered into
-    the padded input gradient with one strided add per kernel offset (col2im).
+    the padded input gradient (col2im) with one strided add per in-plane
+    kernel offset, which covers every offset along the leading axes at once.
 
     The shape-only part of this (shape checks, pads, tile list) is planned
     once per shape combination and cached. A pointwise (1x1) kernel needs no

@@ -1,6 +1,7 @@
 """Forward semantics of the tensor ops against plain numpy."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -290,6 +291,61 @@ class TestConvMatchesTensordotOracle:
             assert got.dtype == dtype and got.shape == ref.shape
             np.testing.assert_allclose(got.data, ref, rtol=rel,
                                        atol=rel * np.abs(ref).max())
+
+
+def conv_grads_per_offset(x, w, g):
+    """dx and dw of ``conv_nd`` with one col2im add per kernel offset.
+
+    The engine's former backward, kept as the oracle of the one that adds all
+    offsets along the leading axes at once: same tiles, same GEMMs, and
+    prod(k) strided adds per tile.
+    """
+    plan = T._conv_plan(x.shape, w.shape, None)
+    x_pad = np.zeros(plan.padded, x.dtype)
+    x_pad[plan.crop] = x
+    src = T._columns(x_pad, plan)
+    w_cols = w.reshape(-1, plan.col_rows)
+    g_tiles = g.reshape(plan.out_tiles)
+    dw = np.zeros(w_cols.shape, w.dtype)
+    dx_pad = np.zeros_like(x_pad)
+    d_src = T._columns(dx_pad, plan)
+    for flat, idx, cols, d_shape in plan.tiles:
+        g_tile = g_tiles[:, flat, cols]
+        dw += g_tile @ src[idx].reshape(plan.col_rows, -1).T
+        d_cols = (w_cols.T @ g_tile).reshape(d_shape)
+        d_win = d_src[idx]
+        for off in np.ndindex(*w.shape[2:]):
+            d_win[(slice(None),) + off] += d_cols[(slice(None),) + off]
+    return dx_pad[plan.crop], dw.reshape(w.shape)
+
+
+class TestCol2imMatchesPerOffsetOracle:
+    """Byte-equal gradients on plans with several leading output indices and
+    several row tiles each, the last one ragged."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((8, 4, 31, 64), (6, 8, 3, 3, 3)),
+        ((8, 4, 31, 64), (6, 8, 2, 3, 4)),
+        ((32, 5, 23, 64), (6, 32, 3, 1, 1)),
+        ((3, 3, 91, 128), (8, 3, 3, 3, 3)),
+        ((16, 60, 64), (8, 16, 3, 3)),
+    ])
+    def test_dx_and_dw_byte_equal(self, x_shape, w_shape, dtype):
+        rng = np.random.default_rng(51)
+        x = rng.normal(size=x_shape).astype(dtype)
+        w = rng.normal(size=w_shape).astype(dtype)
+        rows, width = x_shape[-2:]
+        per_tile = T.CONV_TILE_ELEMS // (math.prod(w_shape[1:]) * width)
+        assert rows > per_tile and rows % per_tile, "shape must span ragged tiles"
+        tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = T.conv_nd(tx, tw)
+        g = rng.normal(size=out.shape).astype(dtype)
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        ref_dx, ref_dw = conv_grads_per_offset(x, w, g)
+        for got, ref in ((tx.grad.data, ref_dx), (tw.grad.data, ref_dw)):
+            assert got.dtype == dtype
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestConvPlanCache:

@@ -1,6 +1,10 @@
 """The benchmark tracer still finds every name it rebinds in the package."""
 
 import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -63,3 +67,38 @@ def test_traced_macs_match_counter_and_cost_table():
             assert tracer.calls("tensor.conv_nd.bwd") > backwards, config_id
     finally:
         tracer.uninstall()
+
+
+def test_edt_traced_while_ndimage_is_lazy():
+    # a fresh interpreter, so scipy.ndimage has not been loaded by another test
+    code = textwrap.dedent(f"""
+        import importlib.util, sys
+        import numpy as np
+        from tamseg import metrics
+
+        assert "scipy.ndimage._nd_image" not in sys.modules
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(TRACER)!r})
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        a, b = np.zeros((6, 7), np.int64), np.zeros((6, 7), np.int64)
+        a[1:3, 1:4] = b[3:5, 2:6] = 1
+        masks = metrics.SegmentationMask(a, (1.0, 1.0)), metrics.SegmentationMask(b, (1.0, 1.0))
+        tracer = module.Tracer()
+        try:
+            tracer.install()
+            traced = metrics.hausdorff(*masks, 1)
+            assert tracer.calls("metrics.edt") == 2, tracer.calls("metrics.edt")
+        finally:
+            tracer.uninstall()
+        assert metrics.ndimage is sys.modules["scipy.ndimage"]
+        assert metrics.hausdorff(*masks, 1) == traced
+        assert metrics.ndimage.distance_transform_edt(np.ones((2, 2))).shape == (2, 2)
+        print("ok")
+    """)
+    env = dict(os.environ)
+    src = str(TRACER.parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
