@@ -2,15 +2,25 @@
 
 Every differentiable operation is checked by comparing its reverse-mode
 gradients against central differences on a float64 copy of the computation.
-Only the first evaluation of each loss is backpropagated; the difference
-evaluations run under ``tensor.no_grad()`` and record no graph, so each
-costs what the forward costs. The check suites here back both the test
-suite and the ``gradcheck`` CLI command; keep them cheap enough to run on
-every change.
+Only the first evaluation of each loss is backpropagated, and it is also
+recorded: ``tensor.record`` tapes its op calls. A central difference then
+replays, under ``tensor.no_grad()``, only the taped calls that the perturbed
+tensor feeds and that lead to the loss, so it costs the part of the forward
+between that tensor and the loss; a tensor that feeds every call, or none
+that leads to the loss, is evaluated in full. A guard evaluates each
+tensor's first difference in full as well; a replay that differs from it in
+any bit (a loss that reads tensor data outside the ops) sends that tensor
+back to one full evaluation per difference, so the numeric derivatives are
+always those of full evaluation. Batch norm in training mode updates its
+running statistics only in the calls that run, so they get fewer updates
+during a check than under full evaluation; no check reads them. The check
+suites here back both the test suite and the ``gradcheck`` CLI command;
+keep them cheap enough to run on every change.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +73,25 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
     and be free of randomness; a loss that runs batch norm in training mode
     qualifies, since that mode never reads the running statistics it
     updates. ``sample`` limits the check to that many randomly chosen
-    coordinates per tensor, drawn from ``rng``. Only the first ``build_loss()``
-    is backpropagated; the difference evaluations run under
-    ``tensor.no_grad()``. Returns the worst relative error.
+    coordinates per tensor, drawn from ``rng``. Returns the worst relative
+    error.
+
+    The first ``build_loss()`` is recorded (``tensor.record``) and
+    backpropagated. Each difference then replays, under
+    ``tensor.no_grad()``, only the recorded op calls that read the perturbed
+    tensor, directly or through an earlier such call, and lead to the loss;
+    a replayed call reads the replayed outputs in place of the recorded
+    ones. Each tensor's first difference is also evaluated by two full
+    ``build_loss()`` calls, the guard. Unless the replay matches them bit
+    for bit (it cannot see a loss that reads a tensor's data outside the
+    ops), that tensor falls back to one ``build_loss()`` per evaluation. A
+    tensor whose replay would rerun every recorded call or none (a loss that
+    is not the output of a recorded call, say) is evaluated by
+    ``build_loss()`` from the start, with no guard. So the numeric
+    derivatives are those of full evaluation either way. Batch norm in
+    training mode updates its running statistics only in the calls that
+    run, so a check makes fewer updates than full evaluation would; no check
+    reads them.
     """
     for name, t in tensors.items():
         if t.dtype != np.float64:
@@ -74,7 +100,12 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
         raise ValueError("sampled gradcheck needs an rng")
     for t in tensors.values():
         t.grad = None
-    backward(build_loss())
+    with T.record() as tape:
+        loss = build_loss()
+    backward(loss)
+
+    def full():
+        return build_loss().item()
 
     worst = 0.0
     with no_grad():
@@ -86,18 +117,99 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
                 coords = rng.choice(flat.size, size=sample, replace=False)
             else:
                 coords = np.arange(flat.size)
+            plan = _replay_plan(tape, t, loss)
+            # a plan of every taped call would rerun the whole loss; an empty
+            # one means the loss is not a taped output or t does not reach
+            # it through the ops
+            evaluate = (functools.partial(_replay, plan, loss)
+                        if 0 < len(plan) < len(tape) else full)
             numeric = np.empty(coords.size, dtype=np.float64)
             for out_idx, i in enumerate(coords):
-                saved = flat[i]
-                flat[i] = saved + STEP
-                plus = build_loss().item()
-                flat[i] = saved - STEP
-                minus = build_loss().item()
-                flat[i] = saved
+                plus, minus = _difference(flat, i, evaluate)
+                if out_idx == 0 and evaluate is not full:
+                    guard = _difference(flat, i, full)
+                    if (plus.hex(), minus.hex()) != (guard[0].hex(), guard[1].hex()):
+                        evaluate = full
+                        plus, minus = guard
                 numeric[out_idx] = (plus - minus) / (2.0 * STEP)
             worst = max(worst, relative_error(analytic.reshape(-1)[coords], numeric,
                                               abs_floor=abs_floor))
     return worst
+
+
+def _difference(flat: np.ndarray, i, evaluate) -> tuple[float, float]:
+    """``evaluate()`` with ``flat[i]`` moved up, then down, by ``STEP``."""
+    saved = flat[i]
+    try:
+        flat[i] = saved + STEP
+        plus = evaluate()
+        flat[i] = saved - STEP
+        minus = evaluate()
+    finally:
+        flat[i] = saved
+    return plus, minus
+
+
+def _swap(arg, new: dict[int, Tensor]):
+    """``arg`` with every tensor in ``new`` (by id), also inside lists and tuples, replaced."""
+    if isinstance(arg, Tensor):
+        return new.get(id(arg), arg)
+    if type(arg) in (list, tuple):
+        return type(arg)(_swap(a, new) for a in arg)
+    return arg
+
+
+def _tensors(arg):
+    """The tensors ``arg`` is or holds in (nested) lists and tuples."""
+    if isinstance(arg, Tensor):
+        yield arg
+    elif type(arg) in (list, tuple):
+        for a in arg:
+            yield from _tensors(a)
+
+
+def _replay_plan(tape: list, t: Tensor, loss: Tensor) -> list:
+    """The taped calls that read ``t`` and lead to ``loss``, in tape order.
+
+    A call reads ``t`` directly or through an earlier such call; it leads to
+    ``loss`` when its output is ``loss`` or a later call of the plan reads
+    it (the loss of one frame, say, skips the other frame's head). Each
+    comes with the positions and keywords of its arguments that read ``t``,
+    the ones a replay swaps.
+    """
+    fed = {id(t)}
+    reads = []
+    for name, args, kwargs, out in tape:
+        pos = tuple(i for i, a in enumerate(args)
+                    if any(id(x) in fed for x in _tensors(a)))
+        keys = tuple(k for k, v in kwargs.items()
+                     if any(id(x) in fed for x in _tensors(v)))
+        if pos or keys:
+            reads.append((name, args, kwargs, out, pos, keys))
+            fed.add(id(out))
+    needed = {id(loss)}
+    plan = []
+    for call in reversed(reads):
+        _, args, kwargs, out, _, _ = call
+        if id(out) in needed:
+            plan.append(call)
+            needed.update(id(x) for x in _tensors((args, tuple(kwargs.values()))))
+    return plan[::-1]
+
+
+def _replay(plan: list, loss: Tensor) -> float:
+    """Rerun ``plan`` on current data; the loss, replayed or as recorded if ``plan`` skips it."""
+    new: dict[int, Tensor] = {}
+    for name, args, kwargs, out, pos, keys in plan:
+        if pos:
+            args = list(args)
+            for i in pos:
+                args[i] = _swap(args[i], new)
+        if keys:
+            kwargs = {k: _swap(v, new) if k in keys else v for k, v in kwargs.items()}
+        # through the module attribute, so a wrapped op is the one replayed
+        new[id(out)] = getattr(T, name)(*args, **kwargs)
+    return new.get(id(loss), loss).item()
 
 
 def _rand(rng, shape, lo=-1.0, hi=1.0):

@@ -225,34 +225,50 @@ def write_dataset(root, splits: dict[str, list[SequenceSpec]]) -> None:
 def load_dataset(root) -> dict[str, list[SequenceSample]]:
     """Read a dataset directory back into memory.
 
-    A case whose manifest entry lacks a key, or whose entry or files do not
-    fit its spec (file count, annotated frame ids, array shape, unreadable
-    array), raises :class:`ValidationError` naming the case. So does a frame
-    that is not float32 or a mask that is not u8, since a cast would
-    silently turn a u8 image or a fractional label into something else.
+    A manifest that is not JSON, not an object, or whose ``splits`` is not
+    an object of lists raises :class:`ValidationError` naming the dataset.
+    A case whose manifest entry is not an object or lacks a key, whose spec
+    ``SequenceSpec`` refuses, or whose entry or files do not fit its spec
+    (file count, annotated frame ids, array shape, unreadable array), raises
+    :class:`ValidationError` naming the case. So does a frame that is not
+    float32 or a mask that is not u8, since a cast would silently turn a u8
+    image or a fractional label into something else.
     """
     root = Path(root)
-    manifest = read_json(root / "manifest.json")
-    if manifest.get("format") != "synth-dataset" or "splits" not in manifest:
+    try:
+        manifest = read_json(root / "manifest.json")
+    except ValueError as exc:
+        raise ValidationError(f"dataset {root}: manifest.json is not JSON ({exc})") from exc
+    if (not isinstance(manifest, dict) or manifest.get("format") != "synth-dataset"
+            or "splits" not in manifest):
         raise ValidationError(f"{root} does not hold a synth dataset manifest")
-    return {split: [_load_case(root, case, case.get("id", f"{split} case {i}"))
+    splits = manifest["splits"]
+    if not (isinstance(splits, dict) and all(isinstance(c, list) for c in splits.values())):
+        raise ValidationError(f"dataset {root}: manifest 'splits' is not an object of lists")
+    return {split: [_load_case(root, case, f"{split} case {i}")
                     for i, case in enumerate(cases)]
-            for split, cases in manifest["splits"].items()}
+            for split, cases in splits.items()}
 
 
-def _load_case(root: Path, case: dict, case_id: str) -> SequenceSample:
-    where = f"dataset {root}, {case_id}"
+def _load_case(root: Path, case, position: str) -> SequenceSample:
+    if not isinstance(case, dict):
+        raise ValidationError(f"dataset {root}, {position}: manifest entry is not an object")
+    where = f"dataset {root}, {case.get('id', position)}"
     try:
         spec = SequenceSpec.from_json_dict(case["spec"])
         files = {"frames": case["frames"], "masks": case["masks"]}
         annotated = tuple(case["annotated"])
     except KeyError as exc:
         raise ValidationError(f"{where}: manifest entry has no {exc} key") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
     for kind, names in files.items():
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ValidationError(f"{where}: {kind} is not a list of file names")
         if len(names) != spec.frames:
             raise ValidationError(f"{where}: lists {len(names)} {kind}, "
                                   f"its spec has {spec.frames}")
-    if any(not 0 <= i < spec.frames for i in annotated):
+    if any(not isinstance(i, int) or not 0 <= i < spec.frames for i in annotated):
         raise ValidationError(f"{where}: annotated frames {annotated} outside "
                               f"its {spec.frames} frames")
 

@@ -15,7 +15,9 @@ Two rules keep the gradient code simple enough to verify by hand:
 Multiply-accumulate counts for ``matmul`` and ``conv_nd`` are recorded on
 an active :class:`MacCounter` (see :func:`count_macs`), which the analytic
 cost model is tested against. Under :func:`no_grad` ops record no graph, so
-an inference forward keeps only its outputs alive.
+an inference forward keeps only its outputs alive. Under :func:`record` the
+public ops also list their top-level calls on a tape, which the gradient
+check replays.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -
     else:
         out = Tensor(data, dtype=data.dtype)
     out._op = op
-    if getattr(_LOCAL, "no_grad", False):
+    if _LOCAL.no_grad:
         return out
     for p in parents:
         if p.requires_grad:
@@ -206,8 +208,20 @@ def assert_finite(t: Tensor, what: str = "tensor") -> Tensor:
     return t
 
 
-# per-thread engine state: the no_grad flag and the MAC counter stack
-_LOCAL = threading.local()
+class _EngineState(threading.local):
+    """Per-thread engine state; the class attributes are each thread's start values.
+
+    Plain attribute reads, not ``getattr`` with a default: a missing
+    thread-local attribute raises and catches an ``AttributeError`` on every
+    op call, which costs more than some of the ops themselves.
+    """
+
+    no_grad = False
+    tape: list | None = None  # the active record() tape
+    mac_stack: list | None = None
+
+
+_LOCAL = _EngineState()
 
 
 @contextmanager
@@ -219,12 +233,52 @@ def no_grad():
     alive; shape checks and MAC counts are unchanged. It nests, and the
     previous setting returns when the body exits, also by an exception.
     """
-    before = getattr(_LOCAL, "no_grad", False)
+    before = _LOCAL.no_grad
     _LOCAL.no_grad = True
     try:
         yield
     finally:
         _LOCAL.no_grad = before
+
+
+@contextmanager
+def record():
+    """Context manager yielding a tape of the op calls made on this thread.
+
+    Each call of a public op appends ``(name, args, kwargs, out)``, where
+    ``name`` is the op's attribute name in this module. Only top-level calls
+    are taped: the ops an op calls itself (``add`` of a number calls
+    ``shift``, ``mean`` calls ``tsum`` and ``scale``) are part of its call.
+    The tape holds the arguments as passed, so a call can be rerun with some
+    of its tensors swapped for others. A nested
+    ``record`` tapes into its own list only; the outer tape returns when the
+    body exits, also by an exception.
+    """
+    before = _LOCAL.tape
+    tape = _LOCAL.tape = []
+    try:
+        yield tape
+    finally:
+        _LOCAL.tape = before
+
+
+def _recorded(fn):
+    """Make ``fn`` a public op whose top-level calls go on an active :func:`record` tape."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def op(*args, **kwargs):
+        tape = _LOCAL.tape
+        if tape is None:
+            return fn(*args, **kwargs)
+        _LOCAL.tape = None  # the ops fn calls are part of this call
+        try:
+            out = fn(*args, **kwargs)
+        finally:
+            _LOCAL.tape = tape
+        tape.append((name, args, kwargs, out))
+        return out
+    return op
 
 
 # -- MAC instrumentation -----------------------------------------------------
@@ -241,7 +295,7 @@ class MacCounter:
 def count_macs():
     """Context manager yielding a :class:`MacCounter` active on this thread."""
     counter = MacCounter()
-    stack = getattr(_LOCAL, "mac_stack", None)
+    stack = _LOCAL.mac_stack
     if stack is None:
         stack = _LOCAL.mac_stack = []
     stack.append(counter)
@@ -252,7 +306,7 @@ def count_macs():
 
 
 def _count(n: int) -> None:
-    stack = getattr(_LOCAL, "mac_stack", None)
+    stack = _LOCAL.mac_stack
     if stack:
         stack[-1].total += n
 
@@ -275,6 +329,7 @@ def _is_number(x) -> bool:
 # -- elementwise ops ---------------------------------------------------------
 
 
+@_recorded
 def add(a: Tensor, b) -> Tensor:
     if _is_number(b):
         return shift(a, float(b))
@@ -287,6 +342,7 @@ def add(a: Tensor, b) -> Tensor:
     return _result(a.data + b.data, (a, b), back, "add")
 
 
+@_recorded
 def sub(a: Tensor, b) -> Tensor:
     if _is_number(b):
         return shift(a, -float(b))
@@ -299,6 +355,7 @@ def sub(a: Tensor, b) -> Tensor:
     return _result(a.data - b.data, (a, b), back, "sub")
 
 
+@_recorded
 def mul(a: Tensor, b) -> Tensor:
     """Hadamard product (or scaling when ``b`` is a Python number)."""
     if _is_number(b):
@@ -312,6 +369,7 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(a.data * b.data, (a, b), back, "mul")
 
 
+@_recorded
 def div(a: Tensor, b) -> Tensor:
     if _is_number(b):
         return scale(a, 1.0 / float(b))
@@ -324,6 +382,7 @@ def div(a: Tensor, b) -> Tensor:
     return _result(a.data / b.data, (a, b), back, "div")
 
 
+@_recorded
 def recip(a: Tensor) -> Tensor:
     out_data = 1.0 / a.data
 
@@ -333,6 +392,7 @@ def recip(a: Tensor) -> Tensor:
     return _result(out_data, (a,), back, "recip")
 
 
+@_recorded
 def neg(a: Tensor) -> Tensor:
     def back(g):
         _accum(a, -g)
@@ -340,6 +400,7 @@ def neg(a: Tensor) -> Tensor:
     return _result(-a.data, (a,), back, "neg")
 
 
+@_recorded
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
 
@@ -349,6 +410,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _result(a.data * np.asarray(s, dtype=a.dtype), (a,), back, "scale")
 
 
+@_recorded
 def shift(a: Tensor, c: float) -> Tensor:
     def back(g):
         _accum(a, g)
@@ -356,6 +418,7 @@ def shift(a: Tensor, c: float) -> Tensor:
     return _result(a.data + np.asarray(float(c), dtype=a.dtype), (a,), back, "shift")
 
 
+@_recorded
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
@@ -366,6 +429,7 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.maximum(a.data, 0), (a,), back, "relu")
 
 
+@_recorded
 def sigmoid(a: Tensor) -> Tensor:
     # Stable two-branch evaluation keeps exp arguments non-positive.
     x = a.data
@@ -379,6 +443,7 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(out_data, (a,), back, "sigmoid")
 
 
+@_recorded
 def log(a: Tensor) -> Tensor:
     def back(g):
         _accum(a, g / a.data)
@@ -386,6 +451,7 @@ def log(a: Tensor) -> Tensor:
     return _result(np.log(a.data), (a,), back, "log")
 
 
+@_recorded
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only where a is inside."""
     inside = (a.data >= lo) & (a.data <= hi)
@@ -399,6 +465,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
+@_recorded
 def tsum(a: Tensor) -> Tensor:
     """Sum of all elements, as a 0-d tensor."""
     def back(g):
@@ -407,6 +474,7 @@ def tsum(a: Tensor) -> Tensor:
     return _result(np.asarray(a.data.sum(), dtype=a.dtype), (a,), back, "sum")
 
 
+@_recorded
 def mean(a: Tensor) -> Tensor:
     """Mean of all elements, as a 0-d tensor."""
     return scale(tsum(a), 1.0 / a.size)
@@ -415,6 +483,7 @@ def mean(a: Tensor) -> Tensor:
 # -- structural ops -----------------------------------------------------------
 
 
+@_recorded
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in (shape if isinstance(shape, Iterable) else (shape,)))
     if math.prod(shape) != a.size:
@@ -426,6 +495,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(a.data.reshape(shape), (a,), back, "reshape")
 
 
+@_recorded
 def transpose(a: Tensor) -> Tensor:
     """Reverse the axes; for a matrix, its transpose."""
     def back(g):
@@ -434,6 +504,7 @@ def transpose(a: Tensor) -> Tensor:
     return _result(np.ascontiguousarray(a.data.transpose()), (a,), back, "transpose")
 
 
+@_recorded
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ShapeError("concat: need at least one tensor")
@@ -459,6 +530,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                    tuple(tensors), back, "concat")
 
 
+@_recorded
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     ax = axis if axis >= 0 else axis + a.ndim
     if not (0 <= start < stop <= a.shape[ax]):
@@ -477,6 +549,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # -- matmul / softmax ---------------------------------------------------------
 
 
+@_recorded
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
@@ -493,6 +566,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, (a, b), back, "matmul")
 
 
+@_recorded
 def softmax(a: Tensor, axis: int) -> Tensor:
     ax = axis if axis >= 0 else axis + a.ndim
     if not 0 <= ax < a.ndim:
@@ -623,6 +697,7 @@ def _columns(a: np.ndarray, plan: _ConvPlan) -> np.ndarray:
                       strides=tuple(s * a.itemsize for s in plan.win_strides))
 
 
+@_recorded
 def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Cross-correlation of a (C_in, *spatial) input with a (C_out, C_in, *k) kernel.
 
@@ -706,6 +781,7 @@ def _per_axis(value, rank: int, name: str) -> tuple[int, ...]:
     return value
 
 
+@_recorded
 def max_pool(x: Tensor, factor=2) -> Tensor:
     """Non-overlapping max pooling over the spatial dims of a (C, *spatial) tensor."""
     rank = x.ndim - 1
@@ -732,6 +808,7 @@ def max_pool(x: Tensor, factor=2) -> Tensor:
     return _result(np.ascontiguousarray(out_data), (x,), back, "max_pool")
 
 
+@_recorded
 def upsample_nearest(x: Tensor, factor=2) -> Tensor:
     """Nearest-neighbour upsampling of a (C, *spatial) tensor by integer factors."""
     rank = x.ndim - 1
@@ -766,6 +843,7 @@ class BatchNormState:
         self.running_var = np.ones(channels, dtype=_as_dtype(dtype))
 
 
+@_recorded
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                training: bool) -> Tensor:
     """Per-channel normalization of a (C, *spatial) tensor.

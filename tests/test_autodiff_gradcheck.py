@@ -1,12 +1,16 @@
 """Reverse-mode gradients against central finite differences."""
 
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from tamseg import gradcheck
 from tamseg import tensor as T
 from tamseg.errors import ShapeError
-from tamseg.gradcheck import (check_gradients, relative_error, run_op_suite,
-                              run_tam_suite)
+from tamseg.gradcheck import (STEP, check_gradients, relative_error, run_end2end_suite,
+                              run_op_suite, run_tam_suite)
 from tamseg.tensor import Tensor, backward
 
 
@@ -78,6 +82,12 @@ class TestRelativeError:
                               abs_floor=1e-7) > 0.4
 
 
+# a loss term that reads no checked tensor: its taped call is one the checked
+# tensors do not feed, so their differences replay the rest of the loss
+# instead of calling build_loss()
+CONSTANT = Tensor(np.array([0.25, 4.0]))
+
+
 class TestCheckGradients:
     def test_quadratic(self):
         x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
@@ -125,18 +135,42 @@ class TestCheckGradients:
             check_gradients(build_loss, {"x": x}, sample=2)
         assert not calls
 
-    def test_only_first_loss_records_a_graph(self):
+    def test_only_first_loss_records_a_graph(self, monkeypatch):
         x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-        losses = []
+        losses, made = [], []
+        for name in ("mul", "add"):
+            def spy(*args, _op=getattr(T, name), **kwargs):
+                made.append(_op(*args, **kwargs))
+                return made[-1]
+            monkeypatch.setattr(T, name, spy)
 
         def build_loss():
-            losses.append(T.tsum(x * x))
+            losses.append(T.tsum(x * x) + T.tsum(CONSTANT))
             return losses[-1]
 
         assert check_gradients(build_loss, {"x": x}) < 1e-7
-        assert len(losses) == 1 + 2 * x.size
-        assert losses[0].requires_grad
-        assert not any(loss.requires_grad or loss._parents for loss in losses[1:])
+        # the recorded loss and the guard's two; the other evaluations replay
+        assert len(losses) == 3
+        assert len(made) == 2 * (len(losses) + 2 * x.size)
+        assert losses[0].requires_grad and made[0].requires_grad and made[1].requires_grad
+        assert not any(t.requires_grad or t._parents for t in losses[1:] + made[2:])
+
+    def test_replay_skips_calls_the_loss_does_not_read(self, monkeypatch):
+        x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        relus, relu = [], T.relu
+
+        def spy(a):
+            relus.append(1)
+            return relu(a)
+
+        monkeypatch.setattr(T, "relu", spy)
+
+        def build_loss():
+            T.relu(x)  # made from x, but the loss never reads it
+            return T.tsum(T.sigmoid(x) * T.sigmoid(x))
+
+        assert check_gradients(build_loss, {"x": x}) < 1e-7
+        assert len(relus) == 3  # the recorded loss and the guard's two
 
     def test_graph_recording_restored_after_loss_raises(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -144,14 +178,168 @@ class TestCheckGradients:
 
         def build_loss():
             calls.append(1)
-            if len(calls) == 3:
-                raise RuntimeError("loss failed mid-loop")
-            return T.tsum(x * x)
+            if len(calls) == 2:
+                raise RuntimeError("guard loss failed")
+            return T.tsum(x * x) + T.tsum(CONSTANT)
 
-        with pytest.raises(RuntimeError, match="mid-loop"):
+        with pytest.raises(RuntimeError, match="guard loss"):
             check_gradients(build_loss, {"x": x})
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert T.tsum(x * x).requires_grad
+        np.testing.assert_array_equal(x.data, [1.0, -2.0])
+
+    def test_graph_recording_restored_after_replayed_op_raises(self, monkeypatch):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        calls, mul = [], T.mul
+
+        def failing_mul(a, b):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("replayed op failed")
+            return mul(a, b)
+
+        monkeypatch.setattr(T, "mul", failing_mul)
+        losses = []
+
+        def build_loss():
+            losses.append(T.tsum(x * x) + T.tsum(CONSTANT))
+            return losses[-1]
+
+        with pytest.raises(RuntimeError, match="replayed op"):
+            check_gradients(build_loss, {"x": x})
+        assert len(losses) == 1 and len(calls) == 2
+        assert T.tsum(x * x).requires_grad
+        assert T._LOCAL.tape is None
+        np.testing.assert_array_equal(x.data, [1.0, -2.0])
+
+
+def oracle_check(build_loss, tensors, *, sample=None, rng=None, abs_floor=0.0):
+    """check_gradients as one full ``build_loss()`` per evaluation.
+
+    Returns the worst relative error and the numeric derivatives, one array
+    per tensor.
+    """
+    for t in tensors.values():
+        t.grad = None
+    backward(build_loss())
+    worst, numerics = 0.0, []
+    with T.no_grad():
+        for t in tensors.values():
+            analytic = (t.grad.data if t.grad is not None
+                        else np.zeros(t.shape, dtype=np.float64))
+            flat = t.data.reshape(-1)
+            if sample is not None and sample < flat.size:
+                coords = rng.choice(flat.size, size=sample, replace=False)
+            else:
+                coords = np.arange(flat.size)
+            numeric = np.empty(coords.size, dtype=np.float64)
+            for out_idx, i in enumerate(coords):
+                saved = flat[i]
+                flat[i] = saved + STEP
+                plus = build_loss().item()
+                flat[i] = saved - STEP
+                minus = build_loss().item()
+                flat[i] = saved
+                numeric[out_idx] = (plus - minus) / (2.0 * STEP)
+            numerics.append(numeric)
+            worst = max(worst, relative_error(analytic.reshape(-1)[coords], numeric,
+                                              abs_floor=abs_floor))
+    return worst, numerics
+
+
+@pytest.fixture
+def against_oracle(monkeypatch):
+    """Run each ``gradcheck.check_gradients`` call again as the oracle.
+
+    Returns the list of compared checks: each holds the tensors, the number
+    of ``build_loss()`` calls the replaying check made, and the worst error
+    and numeric derivatives of both routes.
+    """
+    checks, numerics = [], []
+    replaying, measure = gradcheck.check_gradients, gradcheck.relative_error
+
+    def spy_error(analytic, numeric, abs_floor=0.0):
+        numerics.append(numeric.copy())
+        return measure(analytic, numeric, abs_floor=abs_floor)
+
+    def both(build_loss, tensors, *, sample=None, rng=None, abs_floor=0.0):
+        oracle_rng = copy.deepcopy(rng)
+        evals = []
+
+        def counted():
+            evals.append(1)
+            return build_loss()
+
+        numerics.clear()
+        worst = replaying(counted, tensors, sample=sample, rng=rng, abs_floor=abs_floor)
+        oracle_worst, oracle_numerics = oracle_check(
+            build_loss, tensors, sample=sample, rng=oracle_rng, abs_floor=abs_floor)
+        checks.append(SimpleNamespace(
+            tensors=tensors, evals=len(evals), worst=worst, numerics=list(numerics),
+            oracle_worst=oracle_worst, oracle_numerics=oracle_numerics))
+        return worst
+
+    monkeypatch.setattr(gradcheck, "relative_error", spy_error)
+    monkeypatch.setattr(gradcheck, "check_gradients", both)
+    return checks
+
+
+def assert_matches_oracle(checks, replayed=True):
+    """Byte-equal derivatives and errors; ``replayed``: every tensor replayed."""
+    assert checks
+    for check in checks:
+        assert [n.tobytes() for n in check.numerics] == \
+            [n.tobytes() for n in check.oracle_numerics]
+        assert check.worst == check.oracle_worst
+        if replayed:
+            # the recorded loss and each tensor's guard; no full evaluation else
+            assert check.evals == 1 + 2 * len(check.tensors)
+
+
+class TestReplayAgainstOracle:
+    def test_op_suite(self, against_oracle):
+        results = run_op_suite(seeds=[0])
+        assert len(against_oracle) == len(results)
+        # each of these small losses reads every checked tensor in every
+        # call, so they are evaluated in full, with no guard
+        assert_matches_oracle(against_oracle, replayed=False)
+        for check in against_oracle:
+            assert check.evals == 1 + 2 * sum(t.size for t in check.tensors.values())
+
+    def test_tam_suite(self, against_oracle):
+        run_tam_suite(seeds=[0])
+        assert_matches_oracle(against_oracle)
+
+    def test_end2end_suite(self, against_oracle):
+        run_end2end_suite(seeds=[0])
+        assert_matches_oracle(against_oracle)
+
+    def test_leaf_built_from_data_falls_back(self, against_oracle):
+        x = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+
+        def build_loss():
+            # a copy of x outside any op: the tape cannot see that it reads x
+            return T.tsum(x * Tensor(x.data.copy())) + T.tsum(CONSTANT)
+
+        assert gradcheck.check_gradients(build_loss, {"x": x}) > 0.1
+        assert_matches_oracle(against_oracle, replayed=False)
+        assert against_oracle[0].evals == 1 + 2 * x.size
+        np.testing.assert_allclose(against_oracle[0].numerics[0], 2 * x.data, rtol=1e-8)
+
+    def test_concat_of_a_list_by_keyword(self, against_oracle):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.uniform(-1.0, 1.0, (2, 3)), requires_grad=True)
+        b = Tensor(rng.uniform(-1.0, 1.0, (4, 3)), requires_grad=True)
+        w = Tensor(rng.uniform(-1.0, 1.0, (6, 6)))
+
+        def build_loss():
+            # the list positional in one call, by keyword in the other
+            top = T.concat([T.sigmoid(a), b * b], axis=0)
+            bottom = T.concat(tensors=[b, T.neg(a)], axis=0)
+            return T.tsum(T.concat([top, bottom], axis=1) * w)
+
+        assert gradcheck.check_gradients(build_loss, {"a": a, "b": b}) < 1e-7
+        assert_matches_oracle(against_oracle)
 
 
 class TestOpSuite:

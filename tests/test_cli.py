@@ -173,6 +173,39 @@ class TestTrainEval:
         assert code == 1
         assert err.startswith("error: ") and str(ckpt) in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("damage, names", [
+        ("manifest_list", None), ("manifest_truncated", None), ("splits_list", None),
+        ("split_of_objects", None), ("case_not_object", "train case 0"),
+        ("unknown_spec_key", "train_000")])
+    def test_hostile_dataset_manifest_exit_1(self, tmp_path, capsys, command, damage,
+                                             names):
+        ds = gen_tiny(tmp_path)
+        path = ds / "manifest.json"
+        manifest = read_json(path)
+        if damage == "manifest_list":
+            manifest = [1, 2]
+        elif damage == "splits_list":
+            manifest["splits"] = list(manifest["splits"].values())
+        elif damage == "split_of_objects":
+            manifest["splits"]["train"] = {"case": manifest["splits"]["train"][0]}
+        elif damage == "case_not_object":
+            manifest["splits"]["train"][0] = 5
+        elif damage == "unknown_spec_key":
+            manifest["splits"]["train"][0]["spec"]["speckle"] = 0.5
+        write_json(path, manifest)
+        if damage == "manifest_truncated":
+            path.write_text("{")
+        out = tmp_path / "run"
+        argv = (self.train_args(ds, out) if command == "train"
+                else ["eval", "--oracle", "--dataset", str(ds), "--out", str(out)])
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ds) in err
+        assert names is None or names in err
+        assert not out.exists()
+
     def test_divergence_maps_to_exit_2(self, tmp_path, capsys):
         ds = gen_tiny(tmp_path)
         manifest = read_json(ds / "manifest.json")

@@ -277,6 +277,18 @@ class TestDatasetRejects:
                         np.ones((32, 32), np.uint8))
         self._rejects(tmp_path, change, "frame_01.tnsr holds uint8")
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("frames", "frame_00.tnsr", "frames is not a list"),
+        ("masks", [0, 1, 2], "masks is not a list"),
+        ("annotated", ["0"], "annotated"),
+        ("spec", [64, 64], "sequence")])
+    def test_entry_of_the_wrong_type(self, tmp_path, key, value, match):
+        self._rejects(tmp_path, lambda root, case: case.update({key: value}), match)
+
+    def test_unknown_spec_key(self, tmp_path):
+        self._rejects(tmp_path, lambda root, case: case["spec"].update(speckle=0.5),
+                      "speckle")
+
     def test_annotated_frame_outside_spec(self, tmp_path):
         self._rejects(tmp_path, lambda root, case: case.update(annotated=[0, 3]),
                       "annotated")

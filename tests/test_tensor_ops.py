@@ -664,3 +664,30 @@ class TestNoGrad:
         with T.no_grad():
             assert not build_loss().requires_grad
         assert check_gradients(build_loss, tensors) < TOLERANCE
+
+
+class TestRecord:
+    def test_tapes_top_level_calls_as_passed(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with T.record() as tape:
+            shifted = x + 2.5  # add of a number calls shift inside
+            y = T.mean(T.concat([shifted, x], axis=0))  # mean calls tsum and scale
+        assert [name for name, *_ in tape] == ["add", "concat", "mean"]
+        assert tape[0][1:] == ((x, 2.5), {}, shifted)
+        (args, kwargs, joined), = [call[1:] for call in tape if call[0] == "concat"]
+        assert args[0] == [shifted, x] and kwargs == {"axis": 0}
+        assert tape[-1][3] is y and tape[-1][1] == (joined,)
+        T.neg(x)
+        assert len(tape) == 3  # nothing is taped once the body exits
+
+    def test_nests_and_restores_on_error(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with T.record() as outer:
+            T.neg(x)
+            with pytest.raises(ShapeError):
+                with T.record() as inner:
+                    T.relu(x)
+                    T.add(x, Tensor(np.ones(3)))
+            T.sigmoid(x)
+        assert [name for name, *_ in outer] == ["neg", "sigmoid"]
+        assert [name for name, *_ in inner] == ["relu"]

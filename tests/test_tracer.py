@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tamseg import costs, optim, tensor, unet
+from tamseg import costs, gradcheck, optim, tensor, unet
+from tamseg.attention import FeatureStack, TamConfig, TamParams, tam_forward
 from tamseg.tensor import Tensor, backward
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -67,6 +68,62 @@ def test_traced_macs_match_counter_and_cost_table():
             assert tracer.calls("tensor.conv_nd.bwd") > backwards, config_id
     finally:
         tracer.uninstall()
+
+
+def test_every_traced_op_is_recorded():
+    # an op the tape misses is still correct, but every gradient check that
+    # reads it would quietly fall back to full evaluation
+    ops = set(load_tracer().OP_CATEGORIES)
+    taped = set()
+    for _, _, build_loss in gradcheck._op_cases(np.random.default_rng(0)):
+        with tensor.record() as tape:
+            build_loss()
+        taped.update(name for name, *_ in tape)
+    assert taped == ops, (sorted(ops - taped), sorted(taped - ops))
+
+
+def small_tam_case():
+    rng = np.random.default_rng(0)
+    params = TamParams.initialize(TamConfig(channels=4, d_embed=4, heads=2),
+                                  rng, dtype=np.float64)
+    frames = [Tensor(rng.uniform(-1.0, 1.0, (4, 2, 2)), requires_grad=True)
+              for _ in range(2)]
+    weights = [Tensor(rng.uniform(-1.0, 1.0, (4, 2, 2))) for _ in range(2)]
+
+    def build_loss():
+        out = tam_forward(FeatureStack(frames=list(frames)), params, training=True)
+        return tensor.tsum(out.frames[0] * weights[0]) + tensor.tsum(out.frames[1] * weights[1])
+
+    return build_loss, {"frame_0": frames[0]}
+
+
+def test_traced_check_times_the_replays():
+    build_loss, tensors = small_tam_case()
+    samples = (1, 2, 3)
+
+    def check(sample):
+        return gradcheck.check_gradients(build_loss, tensors, sample=sample,
+                                         rng=np.random.default_rng(sample))
+
+    untraced = [check(s) for s in samples]
+    module = load_tracer()
+    tracer = module.Tracer()
+    softmax, evals = [], []
+    try:
+        tracer.install()
+        traced = []
+        for s in samples:
+            before = tracer.calls("tensor.softmax"), tracer.counts.get("gradcheck.loss_evals", 0)
+            traced.append(check(s))
+            softmax.append(tracer.calls("tensor.softmax") - before[0])
+            evals.append(tracer.counts["gradcheck.loss_evals"] - before[1])
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    # two replays per difference, each rerunning the same softmax calls
+    assert softmax[2] - softmax[1] == softmax[1] - softmax[0] > 0
+    # replays are not loss evaluations: the recorded loss and the guard's two
+    assert evals == [3, 3, 3]
 
 
 def test_edt_traced_while_ndimage_is_lazy():
