@@ -7,11 +7,11 @@ recorded: ``tensor.record`` tapes its op calls. A central difference then
 replays, under ``tensor.no_grad()``, only the taped calls that the perturbed
 tensor feeds and that lead to the loss, so it costs the part of the forward
 between that tensor and the loss; a tensor that feeds every call, or none
-that leads to the loss, is evaluated in full. A guard evaluates each
-tensor's first difference in full as well; a replay that differs from it in
-any bit (a loss that reads tensor data outside the ops) sends that tensor
-back to one full evaluation per difference, so the numeric derivatives are
-always those of full evaluation. Batch norm in training mode updates its
+that leads to the loss, is evaluated in full. Before its differences, a
+guard moves all of a tensor's elements at once and compares a replay with a
+full evaluation; a replay that differs in any bit (a loss that reads tensor
+data outside the recorded ops) sends that tensor back to one full
+evaluation per difference. Batch norm in training mode updates its
 running statistics only in the calls that run, so they get fewer updates
 during a check than under full evaluation; no check reads them. The check
 suites here back both the test suite and the ``gradcheck`` CLI command;
@@ -81,17 +81,20 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
     ``tensor.no_grad()``, only the recorded op calls that read the perturbed
     tensor, directly or through an earlier such call, and lead to the loss;
     a replayed call reads the replayed outputs in place of the recorded
-    ones. Each tensor's first difference is also evaluated by two full
-    ``build_loss()`` calls, the guard. Unless the replay matches them bit
-    for bit (it cannot see a loss that reads a tensor's data outside the
-    ops), that tensor falls back to one ``build_loss()`` per evaluation. A
-    tensor whose replay would rerun every recorded call or none (a loss that
-    is not the output of a recorded call, say) is evaluated by
-    ``build_loss()`` from the start, with no guard. So the numeric
-    derivatives are those of full evaluation either way. Batch norm in
-    training mode updates its running statistics only in the calls that
-    run, so a check makes fewer updates than full evaluation would; no check
-    reads them.
+    ones. Before a tensor's differences, a guard moves all its elements at
+    once, each by its own step in [-STEP, STEP], and evaluates one replay
+    and one full ``build_loss()`` there. Unless the two match bit for bit
+    (they differ when the loss reads the tensor's data outside the recorded
+    ops, through a ``.data`` read or an op that is not recorded, whichever
+    elements that read touches), the tensor falls back to one
+    ``build_loss()`` per evaluation. A tensor whose replay would rerun every
+    recorded call or none (a loss that is not the output of a recorded
+    call, say) is evaluated by ``build_loss()`` from the start, with no
+    guard. So the numeric derivatives are those of full evaluation, unless
+    an outside read that a single-element step moves leaves the loss
+    unmoved bit for bit under the guard's step. Batch norm in training mode
+    updates its running statistics only in the calls that run, so a check
+    makes fewer updates than full evaluation would; no check reads them.
     """
     for name, t in tensors.items():
         if t.dtype != np.float64:
@@ -121,16 +124,14 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
             # a plan of every taped call would rerun the whole loss; an empty
             # one means the loss is not a taped output or t does not reach
             # it through the ops
-            evaluate = (functools.partial(_replay, plan, loss)
-                        if 0 < len(plan) < len(tape) else full)
+            evaluate = full
+            if 0 < len(plan) < len(tape):
+                evaluate = functools.partial(_replay, plan, loss)
+                if not _replay_is_full(flat, evaluate, full):
+                    evaluate = full
             numeric = np.empty(coords.size, dtype=np.float64)
             for out_idx, i in enumerate(coords):
                 plus, minus = _difference(flat, i, evaluate)
-                if out_idx == 0 and evaluate is not full:
-                    guard = _difference(flat, i, full)
-                    if (plus.hex(), minus.hex()) != (guard[0].hex(), guard[1].hex()):
-                        evaluate = full
-                        plus, minus = guard
                 numeric[out_idx] = (plus - minus) / (2.0 * STEP)
             worst = max(worst, relative_error(analytic.reshape(-1)[coords], numeric,
                                               abs_floor=abs_floor))
@@ -148,6 +149,22 @@ def _difference(flat: np.ndarray, i, evaluate) -> tuple[float, float]:
     finally:
         flat[i] = saved
     return plus, minus
+
+
+def _replay_is_full(flat: np.ndarray, replay, full) -> bool:
+    """Whether ``replay()`` equals ``full()`` bit for bit with all of ``flat`` moved.
+
+    Every element moves at once, each by its own step in [-STEP, STEP] from
+    a fixed generator, so a loss that reads any of them outside the recorded
+    ops (a ``.data`` read, an op that is not recorded) moves in full
+    evaluation but not in the replay, whichever elements are sampled.
+    """
+    saved = flat.copy()
+    try:
+        flat += np.random.default_rng(0).uniform(-STEP, STEP, flat.size)
+        return replay().hex() == full().hex()
+    finally:
+        flat[...] = saved
 
 
 def _swap(arg, new: dict[int, Tensor]):

@@ -100,7 +100,7 @@ class SequenceSpec:
         d = dict(d)
         d["extents"] = tuple(d["extents"])
         if d.get("spacing") is not None:
-            d["spacing"] = tuple(d["spacing"])
+            d["spacing"] = tuple(float(s) for s in d["spacing"])
         return SequenceSpec(**d)
 
 

@@ -177,7 +177,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("damage, names", [
         ("manifest_list", None), ("manifest_truncated", None), ("splits_list", None),
         ("split_of_objects", None), ("case_not_object", "train case 0"),
-        ("unknown_spec_key", "train_000")])
+        ("unknown_spec_key", "train_000"), ("spacing_not_numbers", "train_000")])
     def test_hostile_dataset_manifest_exit_1(self, tmp_path, capsys, command, damage,
                                              names):
         ds = gen_tiny(tmp_path)
@@ -193,6 +193,8 @@ class TestTrainEval:
             manifest["splits"]["train"][0] = 5
         elif damage == "unknown_spec_key":
             manifest["splits"]["train"][0]["spec"]["speckle"] = 0.5
+        elif damage == "spacing_not_numbers":
+            manifest["splits"]["train"][0]["spec"]["spacing"] = ["a", "b"]
         write_json(path, manifest)
         if damage == "manifest_truncated":
             path.write_text("{")

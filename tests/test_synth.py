@@ -285,9 +285,13 @@ class TestDatasetRejects:
     def test_entry_of_the_wrong_type(self, tmp_path, key, value, match):
         self._rejects(tmp_path, lambda root, case: case.update({key: value}), match)
 
-    def test_unknown_spec_key(self, tmp_path):
-        self._rejects(tmp_path, lambda root, case: case["spec"].update(speckle=0.5),
-                      "speckle")
+    @pytest.mark.parametrize("key, value, match", [
+        ("speckle", 0.5, "speckle"),
+        ("spacing", ["a", "b"], "float"),
+        ("spacing", [None, 1.0], "float")])
+    def test_spec_refused(self, tmp_path, key, value, match):
+        self._rejects(tmp_path, lambda root, case: case["spec"].update({key: value}),
+                      match)
 
     def test_annotated_frame_outside_spec(self, tmp_path):
         self._rejects(tmp_path, lambda root, case: case.update(annotated=[0, 3]),

@@ -122,8 +122,8 @@ def test_traced_check_times_the_replays():
     assert traced == untraced
     # two replays per difference, each rerunning the same softmax calls
     assert softmax[2] - softmax[1] == softmax[1] - softmax[0] > 0
-    # replays are not loss evaluations: the recorded loss and the guard's two
-    assert evals == [3, 3, 3]
+    # replays are not loss evaluations: the recorded loss and the guard's
+    assert evals == [2, 2, 2]
 
 
 def test_edt_traced_while_ndimage_is_lazy():
