@@ -160,12 +160,13 @@ def train(cfg: ExperimentConfig, log=None) -> dict:
     initial_loss = None
     final_loss = None
     for step in range(cfg.steps):
-        if step % len(train_cases) == 0:
-            rng.shuffle(order)
         opt.zero_grad()
         batch_loss = 0.0
         for b in range(cfg.batch_size):
-            sample = train_cases[order[(step * cfg.batch_size + b) % len(order)]]
+            position = (step * cfg.batch_size + b) % len(order)
+            if position == 0:  # one fresh order per pass over the cases
+                rng.shuffle(order)
+            sample = train_cases[order[position]]
             loss = _case_loss(model, sample, indices_for[id(sample)], training=True)
             try:
                 assert_finite(loss, "training loss")

@@ -6,16 +6,18 @@ Only the first evaluation of each loss is backpropagated, and it is also
 recorded: ``tensor.record`` tapes its op calls. A central difference then
 replays, under ``tensor.no_grad()``, only the taped calls that the perturbed
 tensor feeds and that lead to the loss, so it costs the part of the forward
-between that tensor and the loss; a tensor that feeds every call, or none
-that leads to the loss, is evaluated in full. Before its differences, a
-guard moves all of a tensor's elements at once and compares a replay with a
-full evaluation; a replay that differs in any bit (a loss that reads tensor
-data outside the recorded ops) sends that tensor back to one full
-evaluation per difference. Batch norm in training mode updates its
+between that tensor and the loss: each call reruns on its recorded arguments
+and rebinds its recorded output, which later calls read, and the recorded
+data return after the tensor's differences. A tensor that feeds every call,
+or none that leads to the loss, is evaluated in full. Before its
+differences, a guard moves all of a tensor's elements at once and compares a
+replay with a full evaluation; a replay that differs in any bit (a loss that
+reads tensor data outside the recorded ops) sends that tensor back to one
+full evaluation per difference. Batch norm in training mode updates its
 running statistics only in the calls that run, so they get fewer updates
 during a check than under full evaluation; no check reads them. The check
-suites here back both the test suite and the ``gradcheck`` CLI command;
-keep them cheap enough to run on every change.
+suites here back both the test suite and the ``gradcheck`` CLI command; keep
+them cheap enough to run on every change.
 """
 
 from __future__ import annotations
@@ -79,22 +81,25 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
     The first ``build_loss()`` is recorded (``tensor.record``) and
     backpropagated. Each difference then replays, under
     ``tensor.no_grad()``, only the recorded op calls that read the perturbed
-    tensor, directly or through an earlier such call, and lead to the loss;
-    a replayed call reads the replayed outputs in place of the recorded
-    ones. Before a tensor's differences, a guard moves all its elements at
-    once, each by its own step in [-STEP, STEP], and evaluates one replay
-    and one full ``build_loss()`` there. Unless the two match bit for bit
-    (they differ when the loss reads the tensor's data outside the recorded
-    ops, through a ``.data`` read or an op that is not recorded, whichever
-    elements that read touches), the tensor falls back to one
-    ``build_loss()`` per evaluation. A tensor whose replay would rerun every
-    recorded call or none (a loss that is not the output of a recorded
-    call, say) is evaluated by ``build_loss()`` from the start, with no
-    guard. So the numeric derivatives are those of full evaluation, unless
-    an outside read that a single-element step moves leaves the loss
-    unmoved bit for bit under the guard's step. Batch norm in training mode
-    updates its running statistics only in the calls that run, so a check
-    makes fewer updates than full evaluation would; no check reads them.
+    tensor, directly or through an earlier such call, and lead to the loss.
+    A replayed call reruns on its recorded arguments and rebinds its
+    recorded output's ``data``, which the calls after it read; the recorded
+    ``data`` return after the tensor's guard and differences, also when one
+    raises, so the caller's loss keeps its recorded value. Before a tensor's
+    differences, a guard moves all its elements at once, each by its own
+    step in [-STEP, STEP], and evaluates one replay and one full
+    ``build_loss()`` there. Unless the two match bit for bit (they differ
+    when the loss reads the tensor's data outside the recorded ops, through
+    a ``.data`` read or an op that is not recorded, whichever elements that
+    read touches), the tensor falls back to one ``build_loss()`` per
+    evaluation. A tensor whose replay would rerun every recorded call or
+    none (a loss that is not the output of a recorded call, say) is
+    evaluated by ``build_loss()`` from the start, with no guard. So the
+    numeric derivatives are those of full evaluation, unless an outside read
+    that a single-element step moves leaves the loss unmoved bit for bit
+    under the guard's step. Batch norm in training mode updates its running
+    statistics only in the calls that run, so a check makes fewer updates
+    than full evaluation would; no check reads them.
     """
     for name, t in tensors.items():
         if t.dtype != np.float64:
@@ -121,18 +126,25 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
             else:
                 coords = np.arange(flat.size)
             plan = _replay_plan(tape, t, loss)
-            # a plan of every taped call would rerun the whole loss; an empty
-            # one means the loss is not a taped output or t does not reach
-            # it through the ops
-            evaluate = full
-            if 0 < len(plan) < len(tape):
-                evaluate = functools.partial(_replay, plan, loss)
-                if not _replay_is_full(flat, evaluate, full):
-                    evaluate = full
-            numeric = np.empty(coords.size, dtype=np.float64)
-            for out_idx, i in enumerate(coords):
-                plus, minus = _difference(flat, i, evaluate)
-                numeric[out_idx] = (plus - minus) / (2.0 * STEP)
+            recorded = [(out, out.data) for *_, out in plan]
+            try:
+                # a plan of every taped call would rerun the whole loss; an
+                # empty one means the loss is not a taped output or t does
+                # not reach it through the ops
+                evaluate = full
+                if 0 < len(plan) < len(tape):
+                    evaluate = functools.partial(_replay, plan)
+                    if not _replay_is_full(flat, evaluate, full):
+                        evaluate = full
+                numeric = np.empty(coords.size, dtype=np.float64)
+                for out_idx, i in enumerate(coords):
+                    plus, minus = _difference(flat, i, evaluate)
+                    numeric[out_idx] = (plus - minus) / (2.0 * STEP)
+            finally:
+                # replays rebind these; the next tensor's plan and the
+                # caller's loss read them as recorded
+                for out, data in recorded:
+                    out.data = data
             worst = max(worst, relative_error(analytic.reshape(-1)[coords], numeric,
                                               abs_floor=abs_floor))
     return worst
@@ -167,21 +179,12 @@ def _replay_is_full(flat: np.ndarray, replay, full) -> bool:
         flat[...] = saved
 
 
-def _swap(arg, new: dict[int, Tensor]):
-    """``arg`` with every tensor in ``new`` (by id), also inside lists and tuples, replaced."""
-    if isinstance(arg, Tensor):
-        return new.get(id(arg), arg)
-    if type(arg) in (list, tuple):
-        return type(arg)(_swap(a, new) for a in arg)
-    return arg
-
-
 def _tensors(arg):
-    """The tensors ``arg`` is or holds in (nested) lists and tuples."""
+    """The tensors ``arg`` is or holds in (nested) lists, tuples and dict values."""
     if isinstance(arg, Tensor):
         yield arg
-    elif type(arg) in (list, tuple):
-        for a in arg:
+    elif type(arg) in (list, tuple, dict):
+        for a in arg.values() if type(arg) is dict else arg:
             yield from _tensors(a)
 
 
@@ -190,43 +193,30 @@ def _replay_plan(tape: list, t: Tensor, loss: Tensor) -> list:
 
     A call reads ``t`` directly or through an earlier such call; it leads to
     ``loss`` when its output is ``loss`` or a later call of the plan reads
-    it (the loss of one frame, say, skips the other frame's head). Each
-    comes with the positions and keywords of its arguments that read ``t``,
-    the ones a replay swaps.
+    it (the loss of one frame, say, skips the other frame's head). So a
+    plan that is not empty ends with the loss's call.
     """
     fed = {id(t)}
     reads = []
-    for name, args, kwargs, out in tape:
-        pos = tuple(i for i, a in enumerate(args)
-                    if any(id(x) in fed for x in _tensors(a)))
-        keys = tuple(k for k, v in kwargs.items()
-                     if any(id(x) in fed for x in _tensors(v)))
-        if pos or keys:
-            reads.append((name, args, kwargs, out, pos, keys))
-            fed.add(id(out))
+    for call in tape:  # call[1:3] is the arguments, call[3] the output
+        if any(id(x) in fed for x in _tensors(call[1:3])):
+            reads.append(call)
+            fed.add(id(call[3]))
     needed = {id(loss)}
     plan = []
     for call in reversed(reads):
-        _, args, kwargs, out, _, _ = call
-        if id(out) in needed:
+        if id(call[3]) in needed:
             plan.append(call)
-            needed.update(id(x) for x in _tensors((args, tuple(kwargs.values()))))
+            needed.update(id(x) for x in _tensors(call[1:3]))
     return plan[::-1]
 
 
-def _replay(plan: list, loss: Tensor) -> float:
-    """Rerun ``plan`` on current data; the loss, replayed or as recorded if ``plan`` skips it."""
-    new: dict[int, Tensor] = {}
-    for name, args, kwargs, out, pos, keys in plan:
-        if pos:
-            args = list(args)
-            for i in pos:
-                args[i] = _swap(args[i], new)
-        if keys:
-            kwargs = {k: _swap(v, new) if k in keys else v for k, v in kwargs.items()}
+def _replay(plan: list) -> float:
+    """Rerun ``plan`` on current data, rebinding each recorded output; the loss."""
+    for name, args, kwargs, out in plan:
         # through the module attribute, so a wrapped op is the one replayed
-        new[id(out)] = getattr(T, name)(*args, **kwargs)
-    return new.get(id(loss), loss).item()
+        out.data = getattr(T, name)(*args, **kwargs).data
+    return out.item()
 
 
 def _rand(rng, shape, lo=-1.0, hi=1.0):

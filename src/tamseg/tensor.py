@@ -218,13 +218,23 @@ class _EngineState(threading.local):
 
     no_grad = False
     tape: list | None = None  # the active record() tape
-    mac_stack: list | None = None
+    macs: MacCounter | None = None  # the active count_macs() counter
 
 
 _LOCAL = _EngineState()
 
 
 @contextmanager
+def _setting(name: str, value):
+    """Engine state ``name`` set to ``value`` (yielded) for the body, then back."""
+    before = getattr(_LOCAL, name)
+    setattr(_LOCAL, name, value)
+    try:
+        yield value
+    finally:
+        setattr(_LOCAL, name, before)
+
+
 def no_grad():
     """Context manager under which ops on this thread record no graph.
 
@@ -233,15 +243,9 @@ def no_grad():
     alive; shape checks and MAC counts are unchanged. It nests, and the
     previous setting returns when the body exits, also by an exception.
     """
-    before = _LOCAL.no_grad
-    _LOCAL.no_grad = True
-    try:
-        yield
-    finally:
-        _LOCAL.no_grad = before
+    return _setting("no_grad", True)
 
 
-@contextmanager
 def record():
     """Context manager yielding a tape of the op calls made on this thread.
 
@@ -249,17 +253,12 @@ def record():
     ``name`` is the op's attribute name in this module. Only top-level calls
     are taped: the ops an op calls itself (``add`` of a number calls
     ``shift``, ``mean`` calls ``tsum`` and ``scale``) are part of its call.
-    The tape holds the arguments as passed, so a call can be rerun with some
-    of its tensors swapped for others. A nested
+    The tape holds the arguments and the output as passed and returned, so
+    a call can be rerun on them with ``getattr(tensor, name)``. A nested
     ``record`` tapes into its own list only; the outer tape returns when the
     body exits, also by an exception.
     """
-    before = _LOCAL.tape
-    tape = _LOCAL.tape = []
-    try:
-        yield tape
-    finally:
-        _LOCAL.tape = before
+    return _setting("tape", [])
 
 
 def _recorded(fn):
@@ -291,24 +290,19 @@ class MacCounter:
         self.total = 0
 
 
-@contextmanager
 def count_macs():
-    """Context manager yielding a :class:`MacCounter` active on this thread."""
-    counter = MacCounter()
-    stack = _LOCAL.mac_stack
-    if stack is None:
-        stack = _LOCAL.mac_stack = []
-    stack.append(counter)
-    try:
-        yield counter
-    finally:
-        stack.pop()
+    """Context manager yielding a :class:`MacCounter` active on this thread.
+
+    Only the innermost counter counts; an outer one counts again once the
+    body exits, also by an exception.
+    """
+    return _setting("macs", MacCounter())
 
 
 def _count(n: int) -> None:
-    stack = _LOCAL.mac_stack
-    if stack:
-        stack[-1].total += n
+    counter = _LOCAL.macs
+    if counter is not None:
+        counter.total += n
 
 
 # -- shape/dtype checks ------------------------------------------------------

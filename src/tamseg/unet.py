@@ -61,11 +61,11 @@ class BackboneConfig:
         if self.classes < 2:
             raise ValidationError("need at least 2 classes")
         allowed = valid_slots(self.levels)
-        for slot in self.insertion_set:
-            if not _SLOT_RE.match(slot) or slot not in allowed:
-                raise ValidationError(
-                    f"invalid insertion slot {slot!r} for a {self.levels}-level "
-                    f"backbone; valid slots: {sorted(allowed)}")
+        invalid = sorted(set(self.insertion_set) - allowed)
+        if invalid:
+            raise ValidationError(
+                f"invalid insertion slot {', '.join(map(repr, invalid))} for a "
+                f"{self.levels}-level backbone; valid slots: {sorted(allowed)}")
         object.__setattr__(self, "insertion_set", frozenset(self.insertion_set))
 
     def slot_channels(self, slot: str) -> int:

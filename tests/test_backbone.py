@@ -1,5 +1,10 @@
 """Backbone wiring: frame independence, slot coupling, and the config table."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +37,26 @@ class TestConfigValidation:
                            insertion_set=frozenset({"E5"}))
         with pytest.raises(ValidationError):
             BackboneConfig(insertion_set=frozenset({"D5"}))
+
+    def test_every_invalid_slot_named_whatever_the_hash_seed(self):
+        # a frozenset's order follows the per-process string hash
+        code = ("from tamseg.unet import BackboneConfig\n"
+                "try:\n"
+                "    BackboneConfig(levels=2, channels=(4, 8),\n"
+                "                   insertion_set=frozenset({'E4', 'E5', 'D3'}))\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        path = os.pathsep.join(filter(None, (str(Path(__file__).resolve().parents[1] / "src"),
+                                             os.environ.get("PYTHONPATH"))))
+        messages = set()
+        for seed in range(6):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path}
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            messages.add(proc.stdout)
+        assert messages == {"invalid insertion slot 'D3', 'E4', 'E5' for a 2-level "
+                            "backbone; valid slots: ['D1', 'E1', 'E2']\n"}
 
     def test_slot_channels_and_d_embed(self):
         cfg = BackboneConfig(insertion_set=frozenset({"E5", "D4"}))

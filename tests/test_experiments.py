@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tamseg import experiments
 from tamseg.errors import NumericError, ValidationError
 from tamseg.experiments import (ExperimentConfig, ablate, evaluate,
                                 load_checkpoint, make_dataset,
@@ -149,6 +150,32 @@ class TestTraining:
                                outdir=str(tmp_path / "run"), **TINY)
         with pytest.raises(NumericError, match="diverged at step"):
             train(cfg)
+
+    def test_one_fresh_shuffle_per_pass_with_batches(self, tmp_path, monkeypatch):
+        make_dataset(tmp_path / "ds", seed=0, size=32, frames=2, tier="good",
+                     counts={"train": 4, "val": 1, "test": 1},
+                     dropout_target="unannotated")
+        cfg = ExperimentConfig(dataset=str(tmp_path / "ds"), outdir=str(tmp_path / "run"),
+                               **{**TINY, "steps": 6, "batch_size": 2})
+        drawn, case_loss = [], experiments._case_loss
+
+        def spy(model, sample, indices, training):
+            if training:
+                drawn.append(sample.spec.seed)
+            return case_loss(model, sample, indices, training)
+
+        monkeypatch.setattr(experiments, "_case_loss", spy)
+        train(cfg)
+        # replicate the run's stream: the weights first, then one shuffle per
+        # pass of 4 cases, 2 steps of 2 each
+        rng = np.random.default_rng(cfg.seed)
+        build_model(cfg.config_id, cfg.backbone(), rng)
+        seeds = [s.spec.seed for s in load_dataset(tmp_path / "ds")["train"]]
+        order, expected = np.arange(4), []
+        for _ in range(3):
+            rng.shuffle(order)
+            expected += [seeds[i] for i in order]
+        assert drawn == expected
 
     def test_rerun_reproduces_files_byte_for_byte(self, tmp_path):
         tiny_dataset(tmp_path / "ds")

@@ -611,6 +611,17 @@ class TestMacCounting:
         assert inner.total == 8
         assert outer.total == 8  # counts route to the innermost scope only
 
+    def test_outer_counter_active_again_after_inner_raises(self):
+        a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
+        with T.count_macs() as outer:
+            with pytest.raises(ShapeError):
+                with T.count_macs() as inner:
+                    T.matmul(a, b)
+                    T.matmul(a, Tensor(np.ones((3, 2))))
+            T.matmul(a, b)
+        assert inner.total == 8
+        assert outer.total == 8
+
 
 class TestNoGrad:
     @staticmethod
