@@ -327,6 +327,8 @@ def ablate(axis: str, values: list[str], base: ExperimentConfig,
     their own (the sequences themselves change). Rows carry metric means over
     the test split plus closed-form FLOPs/params for the cell's architecture.
     Every cell's value and architecture are checked before any file is made.
+    Each dataset is generated once per call from the call's settings, also
+    where an earlier call left one in ``workdir``.
     """
     if axis not in ABLATION_AXES:
         raise ValidationError(f"unknown ablation axis {axis!r}; "
@@ -337,13 +339,17 @@ def ablate(axis: str, values: list[str], base: ExperimentConfig,
     costs = [configuration_report(c.config_id, c.backbone(), (size, size), c.frames)
              for c in cells]
     rows = []
+    made = set()
     for value, cell, cost in zip(values, cells, costs):
         data_key = f"{axis}_{value}" if axis in ("frames", "tier") else "shared"
         data_dir = workdir / "datasets" / data_key
-        if not (data_dir / "manifest.json").exists():
+        # made once per call from this call's settings: a dataset left in
+        # the workdir by an earlier call may have another size or count
+        if data_key not in made:
             make_dataset(data_dir, seed=base.seed, size=size,
                          frames=cell.frames, tier=cell.tier,
                          counts=dataset_counts, dropout_target=dropout_target)
+            made.add(data_key)
         for seed in seeds:
             run = dataclasses.replace(
                 cell, seed=seed, dataset=str(data_dir),

@@ -587,27 +587,37 @@ CONV_TILE_ELEMS = 2 ** 16
 
 
 class _ConvPlan(NamedTuple):
-    """Everything about one convolution that depends only on shapes."""
+    """Everything about one convolution that depends only on shapes.
+
+    A 2D conv is planned as the one-plane case of the 3D loop: one input
+    plane (``L = 1``) and one leading kernel offset (``kl = 1``).
+    """
 
     out_shape: tuple[int, ...]       # (C_out, *spatial)
-    out_tiles: tuple[int, int, int]  # (C_out, leading output positions, rows * width)
-    # padded input shape, or None for a pointwise kernel (every extent 1): it
+    out_planes: tuple[int, int, int]  # (C_out, L, rows * width)
+    # (C_out, C_in, kl, kh * kw), or None when kl == 1: then the kernel as
+    # (1, C_out, C_in * kh * kw) is a view, with no transpose
+    kernel_split: tuple[int, int, int, int] | None
+    w_shape: tuple[int, int, int]    # (kl, C_out, C_in * kh * kw): one GEMM matrix per dl
+    # in-plane padded input shape, or None for an in-plane 1x1 kernel: it
     # needs no pad and reads every input position once, so the input viewed
-    # as (C_in, *out_tiles[1:]) is its own im2col matrix
+    # as (C_in, L, rows * width) holds its im2col columns
     padded: tuple[int, ...] | None
     crop: tuple[slice, ...]          # the input's place in the padded array
-    # shape of the column source: the (C_in, *k, *out) window view of the
-    # padded input, whose strides in elements are win_strides, or for a
-    # pointwise kernel the input as (C_in, *out_tiles[1:])
+    # shape of the column source: the (C_in, kh, kw, L, rows, width) window
+    # view of the padded input, whose strides in bytes are win_strides[itemsize],
+    # or for an in-plane 1x1 kernel the input as (C_in, L, rows * width)
     src_shape: tuple[int, ...]
-    win_strides: tuple[int, ...]
-    col_rows: int                    # C_in * prod(k)
-    # (flat leading index, column-source index, output column slice,
-    #  column-gradient shape) per tile
-    tiles: tuple[tuple[int, tuple, slice, tuple[int, ...]], ...]
-    # column-gradient indices, one per in-plane kernel offset: a tile holds
-    # one index of each leading output axis, so the kernel offsets along
-    # those axes write disjoint planes and one strided add covers them all
+    win_strides: dict[int, tuple[int, ...]]
+    col_rows: int                    # C_in * kh * kw
+    # (column-source index, ((dl, output index, first), ...), column-gradient
+    # shape) per input plane and row block, planes outer: the index gathers
+    # the plane's in-plane columns, and each pair names a kernel offset dl
+    # along L and the output block it feeds; ``first`` marks the pair that
+    # writes that block first, which every output block has
+    tiles: tuple[tuple[tuple, tuple[tuple[int, tuple, bool], ...], tuple[int, ...]], ...]
+    # column-gradient indices, one per in-plane kernel offset (kh * kw
+    # strided adds per tile)
     offsets: tuple[tuple, ...]
     bias_shape: tuple[int, ...]      # (C_out, 1, ...), broadcast over the output
     spatial_axes: tuple[int, ...]
@@ -635,60 +645,75 @@ def _conv_plan(x_shape, k_shape, b_shape) -> _ConvPlan:
         raise ShapeError(f"conv: input has {x_shape[0]} channels but kernel expects {c_in}")
     if b_shape is not None and b_shape != (c_out,):
         raise ShapeError(f"conv: bias shape {b_shape} != ({c_out},)")
-    # "same" at stride 1: k - 1 pad per axis, the odd one after
-    padded = (c_in,) + tuple(n + k - 1 for n, k in zip(spatial, kshape))
-    crop = (slice(None),) + tuple(slice((k - 1) // 2, (k - 1) // 2 + n)
-                                  for n, k in zip(spatial, kshape))
-    # C-contiguous element strides of the padded array
-    steps = tuple(math.prod(padded[d + 1:]) for d in range(len(padded)))
-    col_rows = c_in * math.prod(kshape)
-    rows, width = spatial[-2:]
-    leads = math.prod(spatial[:-2])
-    pointwise = all(k == 1 for k in kshape)
+    planes, rows, width = (1, *spatial) if rank == 2 else spatial
+    kl, kh, kw = (1, *kshape) if rank == 2 else kshape
+    pointwise = kh == kw == 1
+    # "same" at stride 1: k - 1 pad per in-plane axis, the odd one after; the
+    # leading axis gets no pad, as its zero planes would only add zero products
+    padded = (c_in, *spatial[:-2], rows + kh - 1, width + kw - 1)
+    crop = (slice(None),) * (rank - 1) + tuple(
+        slice((k - 1) // 2, (k - 1) // 2 + n) for n, k in ((rows, kh), (width, kw)))
+    # element strides of the window view's axes (channel, in-plane kernel
+    # offsets, plane, row, column) in the C-contiguous padded input
+    plane = padded[-2] * padded[-1]
+    steps = (planes * plane, padded[-1], 1, plane, padded[-1], 1)
+    col_rows = c_in * kh * kw
     block = max(1, CONV_TILE_ELEMS // (col_rows * width))
+    # output plane t reads input plane t + dl - lead_pad at kernel offset dl
+    lead_pad = (kl - 1) // 2
     tiles = []
-    for flat, lead in enumerate(np.ndindex(*spatial[:-2])):
+    written = set()
+    for src in range(planes):
         for r0 in range(0, rows, block):
             r1 = min(r0 + block, rows)
             cols = slice(r0 * width, r1 * width)
+            pairs = []
+            for dl in range(kl):
+                t = src - dl + lead_pad
+                if 0 <= t < planes:
+                    pairs.append((dl, (slice(None), t, cols), (t, r0) not in written))
+                    written.add((t, r0))
             if pointwise:
-                tiles.append((flat, (slice(None), flat, cols), cols,
+                tiles.append(((slice(None), src, cols), tuple(pairs),
                               (c_in, (r1 - r0) * width)))
             else:
-                tiles.append((flat, (Ellipsis,) + lead + (slice(r0, r1), slice(None)),
-                              cols, (c_in, *kshape, r1 - r0, width)))
+                tiles.append(((slice(None),) * 3 + (src, slice(r0, r1)), tuple(pairs),
+                              (c_in, kh, kw, r1 - r0, width)))
     return _ConvPlan(
         out_shape=(c_out, *spatial),
-        out_tiles=(c_out, leads, rows * width),
+        out_planes=(c_out, planes, rows * width),
+        kernel_split=None if kl == 1 else (c_out, c_in, kl, kh * kw),
+        w_shape=(kl, c_out, col_rows),
         padded=None if pointwise else padded,
         crop=crop,
-        src_shape=(c_in, leads, rows * width) if pointwise else (c_in, *kshape, *spatial),
-        win_strides=steps + steps[1:],
+        src_shape=((c_in, planes, rows * width) if pointwise
+                   else (c_in, kh, kw, planes, rows, width)),
+        win_strides={d.itemsize: tuple(s * d.itemsize for s in steps) for d in _FLOAT_DTYPES},
         col_rows=col_rows,
         tiles=tuple(tiles),
         offsets=(((Ellipsis,),) if pointwise
-                 else tuple((slice(None),) * (rank - 1) + off
-                            for off in np.ndindex(*kshape[-2:]))),
+                 else tuple((slice(None),) + off for off in np.ndindex(kh, kw))),
         bias_shape=(c_out,) + (1,) * rank,
         spatial_axes=tuple(range(1, rank + 1)),
-        macs=col_rows * c_out * math.prod(spatial))
+        macs=col_rows * kl * c_out * math.prod(spatial))
 
 
 def _columns(a: np.ndarray, plan: _ConvPlan) -> np.ndarray:
     """View of a C-contiguous padded (C, *spatial) array whose tiles are im2col columns.
 
     Indexing it with a tile's column-source index and reshaping the result
-    to (C * prod(k), tile) gives that tile's im2col columns. For a pointwise
-    plan it is the array itself as (C, leads, rows * width). Otherwise it is
-    the (C, *k, *out) window view: entry [c, *off, *pos] is
-    ``a[c, *(pos + off)]``, and for one fixed kernel offset the view holds
-    distinct elements. Building it on ``a`` as a buffer checks that the view
-    stays inside ``a``.
+    to (C * kh * kw, tile) gives the in-plane im2col columns of one input
+    plane's row block. For an in-plane 1x1 kernel it is the array itself as
+    (C, L, rows * width). Otherwise it is the (C, kh, kw, L, rows, width)
+    window view: entry [c, i, j, l, r, w] is ``a[c, l, r + i, w + j]`` (no
+    ``l`` in 2D), and for one fixed in-plane offset the view holds distinct
+    elements. Building it on ``a`` as a buffer checks that the view stays
+    inside ``a``.
     """
     if plan.padded is None:
         return a.reshape(plan.src_shape)
     return np.ndarray(plan.src_shape, a.dtype, buffer=a,
-                      strides=tuple(s * a.itemsize for s in plan.win_strides))
+                      strides=plan.win_strides[a.itemsize])
 
 
 @_recorded
@@ -700,22 +725,34 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     ``(k - 1) // 2`` before and the rest of ``k - 1`` after. The kernel is not
     flipped.
 
-    The convolution is an im2col GEMM (Chellapilla et al. 2006, "High
-    Performance Convolutional Neural Networks for Document Processing"), tiled
-    over the output: leading output axes one index at a time, axis -2 in
-    blocks of rows, the last block possibly ragged. Each tile gathers its
-    (C_in * prod(k), tile) column matrix from a strided window view of the
-    padded input and makes one matmul into its block of the output. Rows per
-    block keep a tile's columns near ``CONV_TILE_ELEMS`` elements, an L2-sized
-    budget, so no layer's whole column matrix is built. The backward walks the
-    same tiles and recomputes their columns from the padded input:
-    ``dW += g_tile @ cols.T``, and ``dcols = W.T @ g_tile`` is scattered into
-    the padded input gradient (col2im) with one strided add per in-plane
-    kernel offset, which covers every offset along the leading axes at once.
+    A (C_in, L, H, W) input with a kl x kh x kw kernel is a sum over the
+    leading kernel offsets dl of in-plane im2col GEMMs (Chellapilla et al.
+    2006, "High Performance Convolutional Neural Networks for Document
+    Processing"; the split of the leading kernel axis follows kn2row,
+    Vasudevan et al. 2017). It is tiled over input planes and, within a
+    plane, blocks of rows, the last block possibly ragged. Each tile gathers
+    its plane's (C_in * kh * kw, tile) columns once from a strided window view
+    of the input, padded in-plane only, and multiplies them by the kernel's
+    plane dl for each output plane t they feed: ``out[:, t] (+)= W_dl @ cols``,
+    where the first product into an output block writes it and the others
+    add. So an input plane is gathered once, not once per dl, and products
+    with the zero padding planes along L are never formed. A 2D conv, or a
+    3D one with kl = 1, is the one-plane, one-offset case: one GEMM per tile.
+    Rows per block keep a tile's columns near ``CONV_TILE_ELEMS`` elements,
+    an L2-sized budget, so no layer's whole column matrix is built. The
+    backward walks the same tiles and recomputes their columns from the
+    padded input: ``dW_dl += g_t @ cols.T``, and ``dcols = sum W_dl.T @ g_t``
+    is scattered into the padded input gradient's plane (col2im) with one
+    strided add per in-plane kernel offset.
 
-    The shape-only part of this (shape checks, pads, tile list) is planned
-    once per shape combination and cached. A pointwise (1x1) kernel needs no
-    pad and reads its columns straight from the input, with no window view.
+    The MAC count is that of the full correlation, padded taps included
+    (C_in * prod(k) * C_out per output position), as the cost table states
+    it, though the skipped padding products are not computed.
+
+    The shape-only part of this (shape checks, pads, tiles and the pairs
+    each tile feeds) is planned once per shape combination and cached. An
+    in-plane 1x1 kernel needs no pad and reads its columns straight from the
+    input, with no window view.
     """
     plan = _conv_plan(x.data.shape, kernel.data.shape,
                       None if bias is None else bias.data.shape)
@@ -726,11 +763,20 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         x_pad[plan.crop] = x.data
     src = _columns(x_pad, plan)
     col_rows = plan.col_rows
-    w_cols = kernel.data.reshape(-1, col_rows)
+    if plan.kernel_split is None:
+        w = kernel.data.reshape(plan.w_shape)
+    else:
+        w = kernel.data.reshape(plan.kernel_split).transpose(2, 0, 1, 3).reshape(plan.w_shape)
 
-    out_data = np.empty(plan.out_tiles, dtype=x.dtype)
-    for flat, idx, cols, _ in plan.tiles:
-        np.matmul(w_cols, src[idx].reshape(col_rows, -1), out=out_data[:, flat, cols])
+    out_data = np.empty(plan.out_planes, dtype=x.dtype)
+    for idx, pairs, _ in plan.tiles:
+        cols = src[idx].reshape(col_rows, -1)
+        for dl, out_idx, first in pairs:
+            if first:
+                np.matmul(w[dl], cols, out=out_data[out_idx])
+            else:
+                block = out_data[out_idx]
+                block += w[dl] @ cols
     out_data = out_data.reshape(plan.out_shape)
     if bias is not None:
         out_data += bias.data.reshape(plan.bias_shape)
@@ -739,21 +785,33 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def back(g):
-        g_tiles = g.reshape(plan.out_tiles)
-        dk = np.zeros(w_cols.shape, w_cols.dtype) if kernel.requires_grad else None
+        g_planes = g.reshape(plan.out_planes)
+        dk = np.zeros(plan.w_shape, w.dtype) if kernel.requires_grad else None
         if x.requires_grad:
             dx_pad = np.zeros(x_pad.shape, x_pad.dtype)
             d_src = _columns(dx_pad, plan)
-        for flat, idx, cols, d_shape in plan.tiles:
-            g_tile = g_tiles[:, flat, cols]
+        for idx, pairs, d_shape in plan.tiles:
             if dk is not None:
-                dk += g_tile @ src[idx].reshape(col_rows, -1).T
+                cols_t = src[idx].reshape(col_rows, -1).T
+                for dl, out_idx, _ in pairs:
+                    dk_dl = dk[dl]
+                    dk_dl += g_planes[out_idx] @ cols_t
+                # freed before col2im allocates: two tile-sized arrays alive
+                # at once nearly double a small layer's backward time
+                del cols_t
             if x.requires_grad:
-                d_cols = (w_cols.T @ g_tile).reshape(d_shape)
+                dl, out_idx, _ = pairs[0]
+                d_cols = w[dl].T @ g_planes[out_idx]
+                for dl, out_idx, _ in pairs[1:]:
+                    d_cols += w[dl].T @ g_planes[out_idx]
+                d_cols = d_cols.reshape(d_shape)
                 d_win = d_src[idx]
                 for off in plan.offsets:
                     d_win[off] += d_cols[off]
         if dk is not None:
+            if plan.kernel_split is not None:  # back from one matrix per dl
+                c_out, c_in, kl, _ = plan.kernel_split
+                dk = dk.reshape(kl, c_out, c_in, -1).transpose(1, 2, 0, 3)
             _accum(kernel, dk.reshape(kernel.shape))
         if x.requires_grad:
             _accum(x, np.ascontiguousarray(dx_pad[plan.crop]))

@@ -261,3 +261,20 @@ class TestAblation:
         assert len(results["rows"]) == 2
         # both seeds share one dataset directory
         assert (tmp_path / "work" / "datasets" / "shared").exists()
+
+    def test_rerun_at_another_size_regenerates_the_dataset(self, tmp_path):
+        base = ExperimentConfig(**{**TINY, "steps": 1})
+
+        def run(workdir, size):
+            ablate("config", ["C1"], base, seeds=[0], workdir=workdir, size=size,
+                   dataset_counts={"train": 1, "val": 1, "test": 1},
+                   dropout_target="unannotated")
+            return read_json(workdir / "results.json")["rows"]
+
+        run(tmp_path / "work", 32)
+        rows = run(tmp_path / "work", 64)
+        for split in load_dataset(tmp_path / "work" / "datasets" / "shared").values():
+            for sample in split:
+                assert tuple(sample.spec.extents) == (64, 64)
+                assert all(image.shape == (64, 64) for image in sample.images)
+        assert rows == run(tmp_path / "fresh", 64)

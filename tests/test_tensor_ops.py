@@ -160,6 +160,11 @@ def same_pads(kshape):
     return [((k - 1) // 2, k - 1 - (k - 1) // 2) for k in kshape]
 
 
+def rows_per_tile(w_shape, width):
+    """Output rows per GEMM tile: a tile gathers one input plane's in-plane columns."""
+    return max(1, T.CONV_TILE_ELEMS // (math.prod(w_shape[1:2] + w_shape[-2:]) * width))
+
+
 def conv2d_naive(x, w, b=None):
     """Reference "same" cross-correlation, plain loops. Slow but obviously right."""
     c_out, c_in, kh, kw = w.shape
@@ -278,7 +283,7 @@ class TestConvMatchesTensordotOracle:
         b = rng.normal(size=w_shape[0]).astype(dtype)
         ref_out, ref_back = conv_nd_tensordot(x, w, b)
         rows, width = ref_out.shape[-2:]
-        per_tile = T.CONV_TILE_ELEMS // (int(np.prod(w_shape[1:])) * width)
+        per_tile = rows_per_tile(w_shape, width)
         assert rows > per_tile and rows % per_tile, "shape must span ragged tiles"
 
         tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
@@ -293,41 +298,179 @@ class TestConvMatchesTensordotOracle:
                                        atol=rel * np.abs(ref).max())
 
 
-def conv_grads_per_offset(x, w, g):
-    """dx and dw of ``conv_nd`` with one col2im add per kernel offset.
+def conv_nd_im2col(x, w, b=None):
+    """The engine's former convolution, kept as the oracle of the per-plane GEMMs.
 
-    The engine's former backward, kept as the oracle of the one that adds all
-    offsets along the leading axes at once: same tiles, same GEMMs, and
-    prod(k) strided adds per tile.
+    One im2col GEMM per output plane and row block, whose columns hold
+    C_in * prod(k) rows: every kernel tap, also those on the zero padding
+    planes along the leading axis. A 1x1(x1) kernel reads its columns
+    straight from the input. The backward scatters the column gradient with
+    one strided add per in-plane kernel offset, covering the leading offsets
+    at once. Returns the output and a function mapping an upstream gradient
+    to (dx, dw, db).
     """
-    plan = T._conv_plan(x.shape, w.shape, None)
-    x_pad = np.zeros(plan.padded, x.dtype)
-    x_pad[plan.crop] = x
-    src = T._columns(x_pad, plan)
-    w_cols = w.reshape(-1, plan.col_rows)
-    g_tiles = g.reshape(plan.out_tiles)
-    dw = np.zeros(w_cols.shape, w.dtype)
+    c_out, c_in, *kshape = w.shape
+    spatial = x.shape[1:]
+    rank = len(spatial)
+    rows, width = spatial[-2:]
+    leads = math.prod(spatial[:-2])
+    col_rows = c_in * math.prod(kshape)
+    pointwise = all(k == 1 for k in kshape)
+    x_pad = x if pointwise else np.pad(x, [(0, 0)] + same_pads(kshape))
+
+    def columns(a):
+        if pointwise:
+            return a.reshape(c_in, leads, rows * width)
+        return np.lib.stride_tricks.as_strided(a, (c_in, *kshape, *spatial),
+                                               a.strides + a.strides[1:])
+
+    src = columns(x_pad)
+    block = max(1, T.CONV_TILE_ELEMS // (col_rows * width))
+    tiles = []
+    for flat, lead in enumerate(np.ndindex(*spatial[:-2])):
+        for r0 in range(0, rows, block):
+            r1 = min(r0 + block, rows)
+            cols = slice(r0 * width, r1 * width)
+            idx = ((slice(None), flat, cols) if pointwise
+                   else (Ellipsis,) + lead + (slice(r0, r1), slice(None)))
+            tiles.append((flat, idx, cols))
+    w_cols = w.reshape(c_out, col_rows)
+    out = np.empty((c_out, leads, rows * width), x.dtype)
+    for flat, idx, cols in tiles:
+        np.matmul(w_cols, src[idx].reshape(col_rows, -1), out=out[:, flat, cols])
+    out = out.reshape(c_out, *spatial)
+    if b is not None:
+        out += b.reshape((-1,) + (1,) * rank)
+    offsets = ([(Ellipsis,)] if pointwise
+               else [(slice(None),) * (rank - 1) + off for off in np.ndindex(*kshape[-2:])])
+
+    def back(g):
+        g_tiles = g.reshape(c_out, leads, rows * width)
+        dw = np.zeros(w_cols.shape, w.dtype)
+        dx_pad = np.zeros_like(x_pad)
+        d_src = columns(dx_pad)
+        for flat, idx, cols in tiles:
+            g_tile = g_tiles[:, flat, cols]
+            dw += g_tile @ src[idx].reshape(col_rows, -1).T
+            d_win = d_src[idx]
+            d_cols = (w_cols.T @ g_tile).reshape(d_win.shape)
+            for off in offsets:
+                d_win[off] += d_cols[off]
+        crop = (slice(None),) + tuple(slice(before, before + n) for (before, _), n
+                                      in zip(same_pads(kshape), spatial))
+        return (np.ascontiguousarray(dx_pad[crop]), dw.reshape(w.shape),
+                g.sum(axis=tuple(range(1, rank + 1))))
+
+    return out, back
+
+
+def conv_with_grads(x, w, b, g):
+    """``conv_nd``'s output and (dx, dw, db) for the upstream gradient ``g``."""
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.conv_nd(tx, tw, tb)
+    T.backward(T.tsum(T.mul(out, Tensor(g))))
+    return out, tx.grad, tw.grad, tb.grad
+
+
+class TestConvMatchesIm2colOracle:
+    """The per-plane GEMMs against the former one-GEMM-per-output-plane kernel."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((16, 64, 64), (8, 16, 3, 3)),
+        ((16, 60, 64), (8, 16, 2, 4)),
+        ((3, 9, 7), (4, 3, 3, 3)),
+        ((8, 4, 31, 64), (6, 8, 1, 3, 3)),
+        ((8, 3, 31, 64), (6, 8, 1, 2, 4)),
+        ((64, 70, 64), (8, 64, 1, 1)),
+        ((128, 3, 70, 32), (8, 128, 1, 1, 1)),
+    ])
+    def test_one_leading_offset_is_byte_equal(self, x_shape, w_shape, dtype):
+        # 2D, kl = 1 and pointwise kernels make the same GEMMs in the same order
+        rng = np.random.default_rng(61)
+        x, w, b = (rng.normal(size=s).astype(dtype) for s in (x_shape, w_shape, w_shape[0]))
+        ref_out, ref_back = conv_nd_im2col(x, w, b)
+        g = rng.normal(size=ref_out.shape).astype(dtype)
+        for got, ref in zip(conv_with_grads(x, w, b, g), (ref_out, *ref_back(g))):
+            assert got.dtype == dtype and got.shape == ref.shape
+            assert got.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((8, 1, 31, 64), (6, 8, 3, 3, 3)),   # every leading tap but dl = 1 pads
+        ((8, 1, 31, 64), (6, 8, 2, 3, 3)),
+        ((8, 2, 31, 64), (6, 8, 3, 3, 3)),
+        ((8, 2, 31, 64), (6, 8, 2, 3, 4)),
+        ((8, 3, 31, 64), (6, 8, 3, 3, 3)),
+        ((8, 4, 31, 64), (6, 8, 2, 3, 4)),
+        ((32, 5, 45, 64), (6, 32, 3, 1, 1)),  # in-plane 1x1: columns read in place
+        ((8, 32, 32, 32), (8, 8, 3, 3, 3)),
+    ])
+    def test_leading_offsets_within_rounding(self, x_shape, w_shape, dtype):
+        rng = np.random.default_rng(62)
+        x, w, b = (rng.normal(size=s).astype(dtype) for s in (x_shape, w_shape, w_shape[0]))
+        rows, width = x_shape[-2:]
+        per_tile = rows_per_tile(w_shape, width)
+        assert rows > per_tile and rows % per_tile, "shape must span ragged tiles"
+        ref_out, ref_back = conv_nd_im2col(x, w, b)
+        g = rng.normal(size=ref_out.shape).astype(dtype)
+        rel = 1e-10 if dtype == np.float64 else 1e-5
+        for got, ref in zip(conv_with_grads(x, w, b, g), (ref_out, *ref_back(g))):
+            assert got.dtype == dtype and got.shape == ref.shape
+            np.testing.assert_allclose(got.data, ref, rtol=rel,
+                                       atol=rel * np.abs(ref).max())
+
+
+def conv_grads_per_offset(x, w, g):
+    """dx and dw of ``conv_nd`` from plain slices, one col2im add per in-plane offset.
+
+    The same tiles, GEMMs and order as the engine: per input plane and row
+    block, the plane's in-plane columns are gathered once and meet the
+    kernel plane dl of each output plane t they feed. The columns come from,
+    and their gradient goes back through, plain slices of the padded input
+    instead of the strided window view.
+    """
+    x4, w5, g4 = (x, w, g) if x.ndim == 4 else (x[:, None], w[:, :, None], g[:, None])
+    c_out, c_in, kl, kh, kw = w5.shape
+    planes, rows, width = x4.shape[1:]
+    pads = same_pads((kh, kw))
+    x_pad = np.pad(x4, [(0, 0), (0, 0)] + pads)
     dx_pad = np.zeros_like(x_pad)
-    d_src = T._columns(dx_pad, plan)
-    for flat, idx, cols, d_shape in plan.tiles:
-        g_tile = g_tiles[:, flat, cols]
-        dw += g_tile @ src[idx].reshape(plan.col_rows, -1).T
-        d_cols = (w_cols.T @ g_tile).reshape(d_shape)
-        d_win = d_src[idx]
-        for off in np.ndindex(*w.shape[2:]):
-            d_win[(slice(None),) + off] += d_cols[(slice(None),) + off]
-    return dx_pad[plan.crop], dw.reshape(w.shape)
+    dw = np.zeros((kl, c_out, c_in * kh * kw), w.dtype)
+    w_dl = [np.ascontiguousarray(w5[:, :, dl]).reshape(c_out, -1) for dl in range(kl)]
+    block = rows_per_tile(w.shape, width)
+    for s in range(planes):
+        for r0 in range(0, rows, block):
+            r1 = min(r0 + block, rows)
+            windows = [(slice(None), s, slice(r0 + i, r1 + i), slice(j, j + width))
+                       for i in range(kh) for j in range(kw)]
+            cols = np.stack([x_pad[win] for win in windows], axis=1).reshape(c_in * kh * kw, -1)
+            d_cols = None
+            for dl in range(kl):
+                t = s - dl + (kl - 1) // 2
+                if 0 <= t < planes:
+                    g_t = g4[:, t, r0:r1].reshape(c_out, -1)
+                    dw[dl] += g_t @ cols.T
+                    part = w_dl[dl].T @ g_t
+                    d_cols = part if d_cols is None else d_cols + part
+            d_cols = d_cols.reshape(c_in, kh * kw, r1 - r0, width)
+            for o, win in enumerate(windows):
+                dx_pad[win] += d_cols[:, o]
+    crop = (slice(None), slice(None)) + tuple(
+        slice(before, before + n) for (before, _), n in zip(pads, (rows, width)))
+    dw = dw.reshape(kl, c_out, c_in, kh, kw).transpose(1, 2, 0, 3, 4)
+    return dx_pad[crop].reshape(x.shape), dw.reshape(w.shape)
 
 
 class TestCol2imMatchesPerOffsetOracle:
-    """Byte-equal gradients on plans with several leading output indices and
-    several row tiles each, the last one ragged."""
+    """Byte-equal gradients on plans with several input planes and several
+    row tiles each, the last one ragged."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("x_shape, w_shape", [
         ((8, 4, 31, 64), (6, 8, 3, 3, 3)),
         ((8, 4, 31, 64), (6, 8, 2, 3, 4)),
-        ((32, 5, 23, 64), (6, 32, 3, 1, 1)),
+        ((32, 5, 45, 64), (6, 32, 3, 1, 1)),
         ((3, 3, 91, 128), (8, 3, 3, 3, 3)),
         ((16, 60, 64), (8, 16, 3, 3)),
     ])
@@ -336,7 +479,7 @@ class TestCol2imMatchesPerOffsetOracle:
         x = rng.normal(size=x_shape).astype(dtype)
         w = rng.normal(size=w_shape).astype(dtype)
         rows, width = x_shape[-2:]
-        per_tile = T.CONV_TILE_ELEMS // (math.prod(w_shape[1:]) * width)
+        per_tile = rows_per_tile(w_shape, width)
         assert rows > per_tile and rows % per_tile, "shape must span ragged tiles"
         tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         out = T.conv_nd(tx, tw)
