@@ -304,7 +304,13 @@ def evaluate(checkpoint, dataset: str, outdir, split: str = EVAL_SPLIT,
 
 def make_dataset(root, seed: int, size: int, frames: int, tier: str,
                  counts: dict[str, int], dropout_target: str) -> None:
-    """Generate ``counts[split]`` cases per split from one base seed."""
+    """Generate ``counts[split]`` cases per split from one base seed.
+
+    A negative count raises :class:`ValidationError` before any file is made.
+    """
+    for split, n in counts.items():
+        if n < 0:
+            raise ValidationError(f"{split} case count must be >= 0, got {n}")
     splits: dict[str, list[SequenceSpec]] = {}
     offset = {"train": 0, "val": 10_000, "test": 20_000}
     for split, n in counts.items():

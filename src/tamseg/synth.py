@@ -192,9 +192,14 @@ def write_dataset(root, splits: dict[str, list[SequenceSpec]]) -> None:
     """Write a dataset directory: one subdirectory per case plus a manifest.
 
     ``splits`` maps split names (train/val/test) to the specs of their cases.
+    Over an earlier dataset, the files its synth manifest names that this one
+    does not write are deleted once the new manifest is in place, if they
+    resolve inside ``root``, and so are the case directories that leaves
+    empty. No other file is touched.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
+    earlier = _manifest_files(root)
     manifest: dict = {"format": "synth-dataset", "version": 1, "splits": {}}
     for split, specs in splits.items():
         cases = []
@@ -220,6 +225,33 @@ def write_dataset(root, splits: dict[str, list[SequenceSpec]]) -> None:
             })
         manifest["splits"][split] = cases
     write_json(root / "manifest.json", manifest)
+    top = root.resolve()
+    kept = {(root / name).resolve() for name in _manifest_files(root)}
+    stale = {path for path in ((root / name).resolve() for name in earlier)
+             if path.is_relative_to(top) and path not in kept
+             and path != top / "manifest.json"}
+    for path in stale:
+        if path.is_file():
+            path.unlink()
+    for case_dir in sorted({path.parent for path in stale} - {top}, reverse=True):
+        if case_dir.is_dir() and not any(case_dir.iterdir()):
+            case_dir.rmdir()
+
+
+def _manifest_files(root: Path) -> list[str]:
+    """The frame and mask names of the synth manifest in ``root``; none if it has none."""
+    try:
+        manifest = read_json(root / "manifest.json")
+    except (OSError, ValueError):
+        return []
+    if not isinstance(manifest, dict) or manifest.get("format") != "synth-dataset":
+        return []
+    splits = manifest.get("splits")
+    cases = [c for cases in splits.values() if isinstance(cases, list) for c in cases
+             ] if isinstance(splits, dict) else []
+    return [name for case in cases if isinstance(case, dict)
+            for kind in ("frames", "masks") if isinstance(case.get(kind), list)
+            for name in case[kind] if isinstance(name, str)]
 
 
 def load_dataset(root) -> dict[str, list[SequenceSample]]:

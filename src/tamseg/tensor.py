@@ -414,10 +414,16 @@ def shift(a: Tensor, c: float) -> Tensor:
 
 @_recorded
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    """max(a, 0); NaN propagates.
+
+    The closure keeps the input array held at the call, not a mask, and
+    builds the mask ``x > 0`` in the backward; a later rebind of ``a.data``
+    does not change which array it reads.
+    """
+    x = a.data
 
     def back(g):
-        _accum(a, g * mask)
+        _accum(a, g * (x > 0))
 
     # maximum, not where(mask, ...): NaN must propagate, not flush to zero
     return _result(np.maximum(a.data, 0), (a,), back, "relu")
@@ -447,11 +453,15 @@ def log(a: Tensor) -> Tensor:
 
 @_recorded
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes only where a is inside."""
-    inside = (a.data >= lo) & (a.data <= hi)
+    """Clamp values to [lo, hi]; gradient passes only where a is inside.
+
+    As in :func:`relu`, the closure keeps the input array held at the call
+    and builds the inside mask in the backward.
+    """
+    x = a.data
 
     def back(g):
-        _accum(a, g * inside)
+        _accum(a, g * ((x >= lo) & (x <= hi)))
 
     return _result(np.clip(a.data, lo, hi), (a,), back, "clip")
 
@@ -833,31 +843,71 @@ def _per_axis(value, rank: int, name: str) -> tuple[int, ...]:
     return value
 
 
-@_recorded
-def max_pool(x: Tensor, factor=2) -> Tensor:
-    """Non-overlapping max pooling over the spatial dims of a (C, *spatial) tensor."""
-    rank = x.ndim - 1
-    factors = _per_axis(factor, rank, "pool factor")
-    for n, f in zip(x.shape[1:], factors):
+class _PoolPlan(NamedTuple):
+    """Everything about one max pooling that depends only on shapes."""
+
+    split: tuple[int, ...]      # (C, o1, f1, o2, f2, ...): the input, reshaped
+    out_shape: tuple[int, ...]  # (C, o1, o2, ...)
+    # one index per window offset, in the windows' row-major order: it picks
+    # the (C, o1, o2, ...) strided view of the elements at that offset
+    windows: tuple[tuple, ...]
+
+
+# a model pools a handful of shapes; the bound only stops a shape sweep
+# from growing the cache without limit
+POOL_PLAN_CACHE = 64
+
+
+@functools.lru_cache(maxsize=POOL_PLAN_CACHE)
+def _pool_plan(shape: tuple[int, ...], factors: tuple[int, ...]) -> _PoolPlan:
+    for n, f in zip(shape[1:], factors):
         if n % f:
             raise ShapeError(f"max_pool: extent {n} not divisible by factor {f} "
-                             f"(shape {x.shape})")
-    c = x.shape[0]
-    outs = tuple(n // f for n, f in zip(x.shape[1:], factors))
-    # (C, o1, f1, o2, f2, ...) -> (C, o1, o2, ..., f1*f2*...)
-    split = x.data.reshape((c,) + tuple(v for pair in zip(outs, factors) for v in pair))
-    perm = (0,) + tuple(1 + 2 * d for d in range(rank)) + tuple(2 + 2 * d for d in range(rank))
-    blocks = split.transpose(perm).reshape((c,) + outs + (-1,))
-    arg = blocks.argmax(axis=-1)
-    out_data = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
+                             f"(shape {shape})")
+    outs = tuple(n // f for n, f in zip(shape[1:], factors))
+    return _PoolPlan(
+        split=(shape[0],) + tuple(v for pair in zip(outs, factors) for v in pair),
+        out_shape=(shape[0],) + outs,
+        windows=tuple((slice(None),) + tuple(v for i in offset for v in (slice(None), i))
+                      for offset in np.ndindex(*factors)))
+
+
+@_recorded
+def max_pool(x: Tensor, factor=2) -> Tensor:
+    """Non-overlapping max pooling over the spatial dims of a (C, *spatial) tensor.
+
+    The forward folds one strided view per window offset into the output,
+    in the windows' row-major order, with ``np.maximum(view, out)``. On a
+    tie ``np.maximum`` returns its second operand, so a window's earlier
+    element wins (of +0.0 and -0.0, the one that comes first), and a NaN
+    anywhere in a window makes its output NaN. The backward routes each
+    output's gradient to the first element of its window that equals the
+    output or is NaN, which is the element ``argmax`` picks. The closure
+    keeps the input and output arrays held at the call, no copy and no
+    index array.
+    """
+    factors = _per_axis(factor, x.ndim - 1, "pool factor")
+    plan = _pool_plan(x.shape, factors)
+    split = x.data.reshape(plan.split)
+    out_data = split[plan.windows[0]].copy()
+    for idx in plan.windows[1:]:
+        np.maximum(split[idx], out_data, out=out_data)
 
     def back(g):
-        dblocks = np.zeros_like(blocks)
-        np.put_along_axis(dblocks, arg[..., None], g[..., None], axis=-1)
-        dsplit = dblocks.reshape((c,) + outs + factors).transpose(np.argsort(perm))
-        _accum(x, np.ascontiguousarray(dsplit.reshape(x.shape)))
+        dx = np.zeros(plan.split, split.dtype)
+        free = np.ones(plan.out_shape, bool)  # outputs whose gradient is not routed yet
+        for idx in plan.windows[:-1]:
+            view = split[idx]
+            hit = view == out_data
+            hit |= np.isnan(view)
+            hit &= free
+            np.copyto(dx[idx], g, where=hit)
+            free ^= hit
+        # every window holds its maximum, so the last offset takes what is left
+        np.copyto(dx[plan.windows[-1]], g, where=free)
+        _accum(x, dx.reshape(x.shape))
 
-    return _result(np.ascontiguousarray(out_data), (x,), back, "max_pool")
+    return _result(out_data, (x,), back, "max_pool")
 
 
 @_recorded
@@ -906,6 +956,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     state update is the one deliberate side effect in the op set. A (C,)
     input reduces over no axis: in training its mean is the input itself and
     its variance is zero.
+
+    The centered input is normalized in place, so a call makes two full-size
+    arrays, the normalized input and the output; the closure keeps the
+    normalized input and the per-channel inverse deviation.
     """
     c = x.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -929,8 +983,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         centered = x.data - mu.reshape(bshape)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat = centered * inv_std.reshape(bshape)
-    out_data = gamma.data.reshape(bshape) * x_hat + beta.data.reshape(bshape)
+    x_hat = centered  # normalized in place: a call makes two full-size arrays
+    x_hat *= inv_std.reshape(bshape)
+    out_data = gamma.data.reshape(bshape) * x_hat
+    out_data += beta.data.reshape(bshape)
 
     def back(g):
         if gamma.requires_grad:

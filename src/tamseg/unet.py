@@ -117,6 +117,8 @@ def check_extent(config: BackboneConfig, spatial, error=ValidationError) -> None
                     f"config expects {config.spatial_rank}")
     divisor = 2 ** (config.levels - 1)
     for n in spatial:
+        if n < 1:
+            raise error(f"input extent {tuple(spatial)} has a non-positive axis")
         if n % divisor:
             raise error(f"spatial extent {n} not divisible by {divisor} "
                         f"(needed for {config.levels} levels)")

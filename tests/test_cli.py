@@ -88,6 +88,15 @@ class TestGen:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--train-cases", "--val-cases", "--test-cases"])
+    def test_negative_case_count_exit_1_before_any_file(self, tmp_path, capsys, flag):
+        args = ["gen", "--out", str(tmp_path / "ds"), "--size", "32", "--t", "2",
+                "--train-cases", "1", "--val-cases", "0", "--test-cases", "1"]
+        args[args.index(flag) + 1] = "-2"
+        assert run(*args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "ds").exists()
+
     def test_identical_flags_identical_bytes(self, tmp_path):
         a = gen_tiny(tmp_path, "a")
         b = gen_tiny(tmp_path, "b")
@@ -300,6 +309,13 @@ class TestCostCommand:
     def test_unknown_config_exit_1(self, capsys):
         assert run("cost", "--configs", "C99") == 1
 
+    @pytest.mark.parametrize("size", ["0", "-16"])
+    def test_non_positive_size_exit_1(self, capsys, size):
+        assert run("cost", "--configs", "C1", "--size", size) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "non-positive" in captured.err
+        assert captured.out == ""
+
     def test_zero_frames_exit_1(self, capsys):
         assert run("cost", "--configs", "C1", "--t", "0") == 1
         captured = capsys.readouterr()
@@ -320,6 +336,14 @@ class TestAblateCommand:
         assert (work / "results.csv").exists()
         out = capsys.readouterr().out
         assert "config=C1 seed=0" in out
+
+    def test_negative_case_count_exit_1_before_any_file(self, tmp_path, capsys):
+        code = run("ablate", "--axis", "heads", "--values", "1", "--levels", "2",
+                   "--channels", "4,8", "--train-cases", "-1",
+                   "--workdir", str(tmp_path / "w"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "w").exists()
 
     def test_bad_axis_exit_1(self, tmp_path, capsys):
         code = run("ablate", "--axis", "kernel", "--values", "3",

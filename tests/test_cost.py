@@ -7,7 +7,7 @@ from tamseg.attention import TamConfig, TamParams
 from tamseg.costs import (CostRow, attention_pair_macs,
                           compare_architectures, configuration_report,
                           conv_cost, tam_rows, tam_vs_time_conv)
-from tamseg.errors import ValidationError
+from tamseg.errors import ShapeError, ValidationError
 from tamseg.tensor import Tensor, count_macs
 from tamseg.unet import BackboneConfig, build_model
 
@@ -134,6 +134,18 @@ class TestReportStructure:
         rank2 = BackboneConfig(levels=3, channels=(4, 8, 16))
         with pytest.raises(ValidationError):
             configuration_report("C1", rank2, (16, 16, 16), 2)
+
+    @pytest.mark.parametrize("extent", [(0, 0), (-16, -16), (16, 0)])
+    def test_non_positive_extent(self, extent):
+        # 0 and -16 divide by every pool product, so the divisibility check
+        # alone priced them (0 and 31 948 800 MACs for C1 at the defaults)
+        with pytest.raises(ValidationError, match="non-positive"):
+            configuration_report("C1", BackboneConfig(), extent, 2)
+        model = build_model("C1", BackboneConfig(levels=3, channels=(4, 8, 16)),
+                            np.random.default_rng(0))
+        frames = [Tensor(np.zeros((1,) + tuple(max(n, 0) for n in extent), np.float32))] * 2
+        with pytest.raises(ShapeError, match="non-positive"):
+            model.forward(frames)
 
     def test_extent_divisibility(self):
         base = BackboneConfig(levels=3, channels=(4, 8, 16))

@@ -226,6 +226,49 @@ class TestDatasetOnDisk:
                 (tmp_path / "b" / rel).read_bytes()
 
 
+class TestDatasetRewrite:
+    """A dataset written over an earlier one leaves none of the earlier files."""
+
+    @staticmethod
+    def _write_twice(root, before=None):
+        write_dataset(root, {"train": [SequenceSpec(seed=s, **SMALL) for s in range(2)]})
+        if before is not None:
+            before(root)
+        write_dataset(root, {"train": [SequenceSpec(seed=5, extents=(32, 32), frames=2)]})
+        manifest = read_json(root / "manifest.json")
+        named = {"manifest.json"} | {name for case in manifest["splits"]["train"]
+                                     for name in case["frames"] + case["masks"]}
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}, named
+
+    def test_only_the_new_manifest_files_remain(self, tmp_path):
+        files, named = self._write_twice(tmp_path / "ds")
+        assert files == named
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
+            "manifest.json", "train_000"]
+        assert len(load_dataset(tmp_path / "ds")["train"]) == 1
+
+    def test_files_no_manifest_names_survive(self, tmp_path):
+        def add_notes(root):
+            (root / "notes.txt").write_text("kept")
+            (root / "train_001" / "notes.txt").write_text("kept")
+
+        files, named = self._write_twice(tmp_path / "ds", add_notes)
+        assert files == named | {"notes.txt", "train_001/notes.txt"}
+
+    def test_names_outside_the_directory_survive(self, tmp_path):
+        outside = tmp_path / "outside.tnsr"
+        outside.write_bytes(b"not ours")
+
+        def name_outside(root):
+            manifest = read_json(root / "manifest.json")
+            manifest["splits"]["train"][1]["frames"].append("../outside.tnsr")
+            write_json(root / "manifest.json", manifest)
+
+        files, named = self._write_twice(tmp_path / "ds", name_outside)
+        assert files == named
+        assert outside.read_bytes() == b"not ours"
+
+
 class TestDatasetRejects:
     """Hand-edited copies of a written dataset fail with the case named."""
 

@@ -717,6 +717,188 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.mean(), -3.0, atol=1e-10)
 
 
+def max_pool_argmax(x, factor=2):
+    """The engine's former max pooling, kept as the oracle of the strided-max fold.
+
+    Every window is copied into a transposed (C, o1, o2, ..., window) block
+    array; ``argmax`` picks each window's element, ``take_along_axis`` reads
+    it and the backward puts the gradient back with ``put_along_axis``.
+    """
+    rank = x.ndim - 1
+    factors = T._per_axis(factor, rank, "pool factor")
+    c = x.shape[0]
+    outs = tuple(n // f for n, f in zip(x.shape[1:], factors))
+    split = x.data.reshape((c,) + tuple(v for pair in zip(outs, factors) for v in pair))
+    perm = (0,) + tuple(1 + 2 * d for d in range(rank)) + tuple(2 + 2 * d for d in range(rank))
+    blocks = split.transpose(perm).reshape((c,) + outs + (-1,))
+    arg = blocks.argmax(axis=-1)
+    out_data = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
+
+    def back(g):
+        dblocks = np.zeros_like(blocks)
+        np.put_along_axis(dblocks, arg[..., None], g[..., None], axis=-1)
+        dsplit = dblocks.reshape((c,) + outs + factors).transpose(np.argsort(perm))
+        T._accum(x, np.ascontiguousarray(dsplit.reshape(x.shape)))
+
+    return T._result(np.ascontiguousarray(out_data), (x,), back, "max_pool")
+
+
+def relu_mask(a):
+    """The engine's former relu, whose mask is built in the forward."""
+    mask = a.data > 0
+
+    def back(g):
+        T._accum(a, g * mask)
+
+    return T._result(np.maximum(a.data, 0), (a,), back, "relu")
+
+
+def clip_mask(a, lo, hi):
+    """The engine's former clip, whose inside mask is built in the forward."""
+    inside = (a.data >= lo) & (a.data <= hi)
+
+    def back(g):
+        T._accum(a, g * inside)
+
+    return T._result(np.clip(a.data, lo, hi), (a,), back, "clip")
+
+
+def batch_norm_four_buffers(x, gamma, beta, state, training):
+    """The engine's former batch norm: four full-size arrays per call."""
+    c = x.shape[0]
+    axes = tuple(range(1, x.ndim))
+    bshape = (c,) + (1,) * (x.ndim - 1)
+    if training:
+        mu = x.data.mean(axis=axes)
+        centered = x.data - mu.reshape(bshape)
+        var = (centered * centered).sum(axis=axes) / math.prod(x.shape[1:])
+        state.running_mean = ((1 - T.BN_MOMENTUM) * state.running_mean
+                              + T.BN_MOMENTUM * mu).astype(state.running_mean.dtype, copy=False)
+        state.running_var = ((1 - T.BN_MOMENTUM) * state.running_var
+                             + T.BN_MOMENTUM * var).astype(state.running_var.dtype, copy=False)
+    else:
+        mu = state.running_mean.astype(x.dtype, copy=False)
+        var = state.running_var.astype(x.dtype, copy=False)
+        centered = x.data - mu.reshape(bshape)
+    inv_std = 1.0 / np.sqrt(var + T.BN_EPS)
+    x_hat = centered * inv_std.reshape(bshape)
+    out_data = gamma.data.reshape(bshape) * x_hat + beta.data.reshape(bshape)
+
+    def back(g):
+        if gamma.requires_grad:
+            T._accum(gamma, (g * x_hat).sum(axis=axes))
+        if beta.requires_grad:
+            T._accum(beta, g.sum(axis=axes))
+        if x.requires_grad:
+            gs = gamma.data.reshape(bshape) * inv_std.reshape(bshape)
+            if training:
+                g_mean = g.mean(axis=axes, keepdims=True)
+                gx_mean = (g * x_hat).mean(axis=axes, keepdims=True)
+                T._accum(x, gs * (g - g_mean - x_hat * gx_mean))
+            else:
+                T._accum(x, gs * g)
+
+    return T._result(out_data.astype(x.dtype, copy=False), (x, gamma, beta), back, "batch_norm")
+
+
+def run_with_grads(op, arrays, g, *args):
+    """``op``'s output and the gradients of its array operands for upstream ``g``."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*leaves, *args)
+    T.backward(T.tsum(T.mul(out, Tensor(g))))
+    return [out.data] + [t.grad.data for t in leaves]
+
+
+def assert_same_bytes(got, ref):
+    for a, b in zip(got, ref, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+POOL_CASES = [((3, 8, 6), 2), ((2, 4, 6, 8), 2), ((2, 3, 4, 6), (1, 2, 2)), ((2, 9, 8), (3, 2))]
+
+
+def pool_inputs(shape, kind, rng):
+    if kind == "random":
+        return rng.normal(size=shape)
+    if kind == "integer ties":
+        return rng.integers(0, 3, size=shape).astype(float)
+    if kind == "signed zeros":
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    x = rng.integers(-2, 2, size=shape).astype(float)  # NaN windows, some with ties
+    x[rng.random(shape) < 0.2] = np.nan
+    return x
+
+
+class TestRewrittenOpsMatchFormerOps:
+    """Pooling, rectifiers and batch norm against the former ops, byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", ["random", "integer ties", "signed zeros", "nan"])
+    @pytest.mark.parametrize("shape, factor", POOL_CASES)
+    def test_max_pool(self, shape, factor, kind, dtype):
+        rng = np.random.default_rng(71)
+        x = pool_inputs(shape, kind, rng).astype(dtype)
+        g = rng.normal(size=T.max_pool(Tensor(x), factor).shape).astype(dtype)
+        assert_same_bytes(run_with_grads(T.max_pool, [x], g, factor),
+                          run_with_grads(max_pool_argmax, [x], g, factor))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pooled_zero_keeps_the_earlier_sign(self, dtype):
+        # each (1, 2) window holds one +0.0 and one -0.0, in either order
+        x = np.array([[[0.0, -0.0, -0.0, 0.0]]], dtype)
+        g = np.array([[[1.0, 2.0]]], dtype)
+        out, dx = run_with_grads(T.max_pool, [x], g, (1, 2))
+        np.testing.assert_array_equal(np.signbit(out), [[[False, True]]])
+        np.testing.assert_array_equal(dx, [[[1.0, 0.0, 2.0, 0.0]]])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nan_window_sends_its_gradient_to_the_first_nan(self, dtype):
+        x = np.array([[[1.0, np.nan, 5.0, np.nan, np.nan, 7.0]]], dtype)
+        g = np.array([[[3.0, 4.0]]], dtype)
+        out, dx = run_with_grads(T.max_pool, [x], g, (1, 3))
+        assert np.isnan(out).all()
+        np.testing.assert_array_equal(dx, [[[0.0, 3.0, 0.0, 4.0, 0.0, 0.0]]])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_relu_and_clip(self, dtype):
+        rng = np.random.default_rng(72)
+        x = rng.integers(-4, 5, size=(5, 7)).astype(dtype) / 4  # exact 0 and +-0.5
+        x[0, :3] = (np.nan, -0.0, 0.0)
+        g = rng.normal(size=x.shape).astype(dtype)
+        assert_same_bytes(run_with_grads(T.relu, [x], g), run_with_grads(relu_mask, [x], g))
+        assert_same_bytes(run_with_grads(T.clip, [x], g, -0.5, 0.5),
+                          run_with_grads(clip_mask, [x], g, -0.5, 0.5))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(4, 9, 7), (3, 2, 5, 6), (3,)])
+    def test_batch_norm(self, shape, training, dtype):
+        rng = np.random.default_rng(73)
+        c = shape[0]
+        x, gamma, beta, g = (rng.normal(loc=1.5, size=s).astype(dtype)
+                             for s in (shape, c, c, shape))
+        mean, var = rng.normal(size=c).astype(dtype), rng.uniform(0.5, 2, c).astype(dtype)
+        results = []
+        for op in (T.batch_norm, batch_norm_four_buffers):
+            state = BatchNormState(c, dtype=dtype)
+            state.running_mean, state.running_var = mean.copy(), var.copy()
+            got = run_with_grads(op, [x, gamma, beta], g, state, training)
+            results.append(got + [state.running_mean, state.running_var])
+        assert_same_bytes(*results)
+
+    def test_backward_reads_the_input_held_at_the_call(self):
+        # gradient-check replays rebind .data after the forward
+        for op, args in ((T.relu, ()), (T.clip, (-0.5, 0.5)), (T.max_pool, (2,))):
+            x = Tensor(np.array([[0.25, -0.25, 0.75, 0.125]]), requires_grad=True)
+            out = op(x, *args)
+            x.data = -x.data
+            T.backward(T.tsum(out))
+            ref = Tensor(-x.data, requires_grad=True)
+            T.backward(T.tsum(op(ref, *args)))
+            np.testing.assert_array_equal(x.grad.data, ref.grad.data)
+
+
 class TestFiniteGuard:
     def test_assert_finite_passes_clean(self):
         t = Tensor(np.ones(3))
