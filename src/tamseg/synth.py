@@ -199,7 +199,10 @@ def write_dataset(root, splits: dict[str, list[SequenceSpec]]) -> None:
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    earlier = _manifest_files(root)
+    try:
+        earlier = _manifest_files(read_json(root / "manifest.json"))
+    except (OSError, ValueError):
+        earlier = []
     manifest: dict = {"format": "synth-dataset", "version": 1, "splits": {}}
     for split, specs in splits.items():
         cases = []
@@ -225,11 +228,20 @@ def write_dataset(root, splits: dict[str, list[SequenceSpec]]) -> None:
             })
         manifest["splits"][split] = cases
     write_json(root / "manifest.json", manifest)
+    if earlier:
+        _delete_stale(root, earlier, _manifest_files(manifest))
+
+
+def _delete_stale(root: Path, earlier: list[str], written: list[str]) -> None:
+    """Delete the files named in ``earlier`` but not in ``written`` that lie inside ``root``.
+
+    Then delete the directories those files leave empty. The manifest itself
+    and anything outside ``root`` are never deleted.
+    """
     top = root.resolve()
-    kept = {(root / name).resolve() for name in _manifest_files(root)}
+    kept = {(root / name).resolve() for name in written} | {top / "manifest.json"}
     stale = {path for path in ((root / name).resolve() for name in earlier)
-             if path.is_relative_to(top) and path not in kept
-             and path != top / "manifest.json"}
+             if top in path.parents and path not in kept}
     for path in stale:
         if path.is_file():
             path.unlink()
@@ -238,20 +250,19 @@ def write_dataset(root, splits: dict[str, list[SequenceSpec]]) -> None:
             case_dir.rmdir()
 
 
-def _manifest_files(root: Path) -> list[str]:
-    """The frame and mask names of the synth manifest in ``root``; none if it has none."""
-    try:
-        manifest = read_json(root / "manifest.json")
-    except (OSError, ValueError):
-        return []
+def _manifest_files(manifest) -> list[str]:
+    """The frame and mask names a synth manifest lists; none if it is not one."""
     if not isinstance(manifest, dict) or manifest.get("format") != "synth-dataset":
         return []
     splits = manifest.get("splits")
-    cases = [c for cases in splits.values() if isinstance(cases, list) for c in cases
-             ] if isinstance(splits, dict) else []
-    return [name for case in cases if isinstance(case, dict)
-            for kind in ("frames", "masks") if isinstance(case.get(kind), list)
-            for name in case[kind] if isinstance(name, str)]
+    names = []
+    for cases in splits.values() if isinstance(splits, dict) else ():
+        for case in cases if isinstance(cases, list) else ():
+            for kind in ("frames", "masks"):
+                files = case.get(kind) if isinstance(case, dict) else None
+                if isinstance(files, list):
+                    names += [name for name in files if isinstance(name, str)]
+    return names
 
 
 def load_dataset(root) -> dict[str, list[SequenceSample]]:

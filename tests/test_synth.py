@@ -255,18 +255,19 @@ class TestDatasetRewrite:
         files, named = self._write_twice(tmp_path / "ds", add_notes)
         assert files == named | {"notes.txt", "train_001/notes.txt"}
 
-    def test_names_outside_the_directory_survive(self, tmp_path):
+    def test_the_manifest_and_names_outside_the_directory_survive(self, tmp_path):
         outside = tmp_path / "outside.tnsr"
         outside.write_bytes(b"not ours")
 
         def name_outside(root):
             manifest = read_json(root / "manifest.json")
-            manifest["splits"]["train"][1]["frames"].append("../outside.tnsr")
+            manifest["splits"]["train"][1]["frames"] += ["../outside.tnsr", "manifest.json", "."]
             write_json(root / "manifest.json", manifest)
 
         files, named = self._write_twice(tmp_path / "ds", name_outside)
         assert files == named
         assert outside.read_bytes() == b"not ours"
+        assert len(load_dataset(tmp_path / "ds")["train"]) == 1
 
 
 class TestDatasetRejects:
