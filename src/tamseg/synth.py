@@ -261,7 +261,9 @@ def _manifest_files(manifest) -> list[str]:
             for kind in ("frames", "masks"):
                 files = case.get(kind) if isinstance(case, dict) else None
                 if isinstance(files, list):
-                    names += [name for name in files if isinstance(name, str)]
+                    # a NUL byte is no path: resolving it would raise
+                    names += [name for name in files
+                              if isinstance(name, str) and "\0" not in name]
     return names
 
 

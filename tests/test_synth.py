@@ -261,7 +261,8 @@ class TestDatasetRewrite:
 
         def name_outside(root):
             manifest = read_json(root / "manifest.json")
-            manifest["splits"]["train"][1]["frames"] += ["../outside.tnsr", "manifest.json", "."]
+            manifest["splits"]["train"][1]["frames"] += [
+                "../outside.tnsr", "manifest.json", ".", "nul\0.tnsr"]
             write_json(root / "manifest.json", manifest)
 
         files, named = self._write_twice(tmp_path / "ds", name_outside)
