@@ -113,11 +113,13 @@ class ParameterSet:
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace every array with a copy of ``arrays[name]``.
+        """Copy ``arrays[name]`` into every array, in place.
 
-        Each copy keeps the dtype and must have the shape of the array it
-        replaces. Every name is checked before any is written, so a rejected
-        checkpoint changes nothing.
+        Each value is converted to the dtype of the array it fills and must
+        have its shape. The arrays stay the same objects, so an optimizer
+        that holds them as views (``optim.Adam``) trains the loaded values.
+        Every name is checked before any is written, so a rejected checkpoint
+        changes nothing.
         """
         slots = {name: (t, "data") for name, t in self.params.items()}
         slots.update(self.stats)
@@ -129,9 +131,9 @@ class ParameterSet:
             if np.shape(arrays[name]) != current.shape:
                 raise ShapeError(f"checkpoint tensor {name} has shape "
                                  f"{np.shape(arrays[name])}, expected {current.shape}")
-            loaded[name] = np.array(arrays[name], dtype=current.dtype, order="C")
+            loaded[name] = np.asarray(arrays[name], dtype=current.dtype)
         for name, (owner, attr) in slots.items():
-            setattr(owner, attr, loaded[name])
+            getattr(owner, attr)[...] = loaded[name]
 
 
 class TamParams(ParameterSet):

@@ -195,14 +195,22 @@ def write_dataset(root, splits: dict[str, list[SequenceSpec]]) -> None:
     Over an earlier dataset, the files its synth manifest names that this one
     does not write are deleted once the new manifest is in place, if they
     resolve inside ``root``, and so are the case directories that leaves
-    empty. No other file is touched.
+    empty. No other file is touched. A ``manifest.json`` in ``root`` that is
+    not a synth-dataset manifest (a checkpoint bundle's, say, or one that is
+    no JSON) raises :class:`ValidationError` before any file is written.
     """
     root = Path(root)
+    earlier = []
+    if (root / "manifest.json").exists():
+        try:
+            found = read_json(root / "manifest.json")
+        except (OSError, ValueError):
+            found = None
+        if not isinstance(found, dict) or found.get("format") != "synth-dataset":
+            raise ValidationError(f"{root} holds a manifest.json that is not a synth "
+                                  "dataset's; refusing to write over it")
+        earlier = _manifest_files(found)
     root.mkdir(parents=True, exist_ok=True)
-    try:
-        earlier = _manifest_files(read_json(root / "manifest.json"))
-    except (OSError, ValueError):
-        earlier = []
     manifest: dict = {"format": "synth-dataset", "version": 1, "splits": {}}
     for split, specs in splits.items():
         cases = []
@@ -250,10 +258,8 @@ def _delete_stale(root: Path, earlier: list[str], written: list[str]) -> None:
             case_dir.rmdir()
 
 
-def _manifest_files(manifest) -> list[str]:
-    """The frame and mask names a synth manifest lists; none if it is not one."""
-    if not isinstance(manifest, dict) or manifest.get("format") != "synth-dataset":
-        return []
+def _manifest_files(manifest: dict) -> list[str]:
+    """The frame and mask names a synth manifest lists."""
     splits = manifest.get("splits")
     names = []
     for cases in splits.values() if isinstance(splits, dict) else ():

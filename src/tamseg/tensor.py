@@ -153,19 +153,31 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``; the first gradient is written into a new array.
+
+    The first write is ``g + 0.0`` into a fresh array of ``t``'s shape and
+    dtype: one pass, the exact bytes a zero fill plus an add gave (``-0.0``
+    becomes ``+0.0``), and never an alias of ``g``, which a closure may hand
+    to several inputs. A ``grad`` already present, such as the optimizer's
+    zeroed view, is added to in place.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = _wrap(np.zeros(t.data.shape, t.data.dtype))
-    t.grad.data += g
+        # out passed by position: the out= keyword costs more than the add on
+        # the engine's smallest arrays
+        t.grad = _wrap(np.add(g, 0.0, np.empty(t.data.shape, t.data.dtype)))
+    else:
+        t.grad.data += g
 
 
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
     ``loss`` must be scalar. Gradients accumulate across calls until a
-    tensor's ``grad`` is set back to None. The graph is freed as it is swept,
-    so each graph backpropagates once.
+    tensor's ``grad`` is set back to None, or zeroed by an optimizer's
+    ``zero_grad``. The graph is freed as it is swept, so each graph
+    backpropagates once.
     """
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -620,12 +632,14 @@ class _ConvPlan(NamedTuple):
     src_shape: tuple[int, ...]
     win_strides: dict[int, tuple[int, ...]]
     col_rows: int                    # C_in * kh * kw
-    # (column-source index, ((dl, output index, first), ...), column-gradient
-    # shape) per input plane and row block, planes outer: the index gathers
-    # the plane's in-plane columns, and each pair names a kernel offset dl
-    # along L and the output block it feeds; ``first`` marks the pair that
-    # writes that block first, which every output block has
-    tiles: tuple[tuple[tuple, tuple[tuple[int, tuple, bool], ...], tuple[int, ...]], ...]
+    # (column-source index, ((dl, output index, first, dk_first), ...),
+    # column-gradient shape) per input plane and row block, planes outer: the
+    # index gathers the plane's in-plane columns, and each pair names a kernel
+    # offset dl along L and the output block it feeds; ``first`` marks the
+    # pair that writes that block first, which every output block has, and
+    # ``dk_first`` the pair that writes kernel plane dl's gradient first
+    tiles: tuple[tuple[tuple, tuple[tuple[int, tuple, bool, bool], ...], tuple[int, ...]], ...]
+    unfed: tuple[int, ...]           # kernel offsets dl along L that no pair feeds
     # column-gradient indices, one per in-plane kernel offset (kh * kw
     # strided adds per tile)
     offsets: tuple[tuple, ...]
@@ -673,6 +687,7 @@ def _conv_plan(x_shape, k_shape, b_shape) -> _ConvPlan:
     lead_pad = (kl - 1) // 2
     tiles = []
     written = set()
+    fed = set()
     for src in range(planes):
         for r0 in range(0, rows, block):
             r1 = min(r0 + block, rows)
@@ -681,8 +696,10 @@ def _conv_plan(x_shape, k_shape, b_shape) -> _ConvPlan:
             for dl in range(kl):
                 t = src - dl + lead_pad
                 if 0 <= t < planes:
-                    pairs.append((dl, (slice(None), t, cols), (t, r0) not in written))
+                    pairs.append((dl, (slice(None), t, cols), (t, r0) not in written,
+                                  dl not in fed))
                     written.add((t, r0))
+                    fed.add(dl)
             if pointwise:
                 tiles.append(((slice(None), src, cols), tuple(pairs),
                               (c_in, (r1 - r0) * width)))
@@ -701,6 +718,7 @@ def _conv_plan(x_shape, k_shape, b_shape) -> _ConvPlan:
         win_strides={d.itemsize: tuple(s * d.itemsize for s in steps) for d in _FLOAT_DTYPES},
         col_rows=col_rows,
         tiles=tuple(tiles),
+        unfed=tuple(dl for dl in range(kl) if dl not in fed),
         offsets=(((Ellipsis,),) if pointwise
                  else tuple((slice(None),) + off for off in np.ndindex(kh, kw))),
         bias_shape=(c_out,) + (1,) * rank,
@@ -751,9 +769,11 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     Rows per block keep a tile's columns near ``CONV_TILE_ELEMS`` elements,
     an L2-sized budget, so no layer's whole column matrix is built. The
     backward walks the same tiles and recomputes their columns from the
-    padded input: ``dW_dl += g_t @ cols.T``, and ``dcols = sum W_dl.T @ g_t``
-    is scattered into the padded input gradient's plane (col2im) with one
-    strided add per in-plane kernel offset.
+    padded input: ``dW_dl (+)= g_t @ cols.T``, where the first product into
+    kernel plane dl writes it and a plane no pair feeds is zero, and
+    ``dcols = sum W_dl.T @ g_t`` is scattered into the padded input
+    gradient's plane (col2im) with one strided add per in-plane kernel
+    offset.
 
     The MAC count is that of the full correlation, padded taps included
     (C_in * prod(k) * C_out per output position), as the cost table states
@@ -781,7 +801,7 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     out_data = np.empty(plan.out_planes, dtype=x.dtype)
     for idx, pairs, _ in plan.tiles:
         cols = src[idx].reshape(col_rows, -1)
-        for dl, out_idx, first in pairs:
+        for dl, out_idx, first, _ in pairs:
             if first:
                 np.matmul(w[dl], cols, out=out_data[out_idx])
             else:
@@ -796,23 +816,30 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def back(g):
         g_planes = g.reshape(plan.out_planes)
-        dk = np.zeros(plan.w_shape, w.dtype) if kernel.requires_grad else None
+        dk = None
+        if kernel.requires_grad:
+            dk = np.empty(plan.w_shape, w.dtype)
+            if plan.unfed:
+                dk[list(plan.unfed)] = 0
         if x.requires_grad:
             dx_pad = np.zeros(x_pad.shape, x_pad.dtype)
             d_src = _columns(dx_pad, plan)
         for idx, pairs, d_shape in plan.tiles:
             if dk is not None:
                 cols_t = src[idx].reshape(col_rows, -1).T
-                for dl, out_idx, _ in pairs:
-                    dk_dl = dk[dl]
-                    dk_dl += g_planes[out_idx] @ cols_t
+                for dl, out_idx, _, dk_first in pairs:
+                    if dk_first:
+                        np.matmul(g_planes[out_idx], cols_t, out=dk[dl])
+                    else:
+                        dk_dl = dk[dl]
+                        dk_dl += g_planes[out_idx] @ cols_t
                 # freed before col2im allocates: two tile-sized arrays alive
                 # at once nearly double a small layer's backward time
                 del cols_t
             if x.requires_grad:
-                dl, out_idx, _ = pairs[0]
+                dl, out_idx, *_ = pairs[0]
                 d_cols = w[dl].T @ g_planes[out_idx]
-                for dl, out_idx, _ in pairs[1:]:
+                for dl, out_idx, *_ in pairs[1:]:
                     d_cols += w[dl].T @ g_planes[out_idx]
                 d_cols = d_cols.reshape(d_shape)
                 d_win = d_src[idx]
@@ -959,7 +986,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
     The centered input is normalized in place, so a call makes two full-size
     arrays, the normalized input and the output; the closure keeps the
-    normalized input and the per-channel inverse deviation.
+    normalized input and the per-channel inverse deviation. The backward
+    forms ``g * x_hat`` once and takes each of its two channel sums once;
+    they are the gamma and beta gradients, and divided by the item count as
+    numpy's ``mean`` divides (the sum by an ``intp``, in place) they are the
+    two means of the input gradient, which is built in two full-size arrays.
     """
     c = x.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -989,16 +1020,29 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     out_data += beta.data.reshape(bshape)
 
     def back(g):
-        if gamma.requires_grad:
-            _accum(gamma, (g * x_hat).sum(axis=axes))
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=axes))
+        x_train = x.requires_grad and training
+        if gamma.requires_grad or x_train:
+            gx = g * x_hat
+            gx_sum = gx.sum(axis=axes)
+            if gamma.requires_grad:
+                _accum(gamma, gx_sum)
+        if beta.requires_grad or x_train:
+            g_sum = g.sum(axis=axes)
+            if beta.requires_grad:
+                _accum(beta, g_sum)
         if x.requires_grad:
             gs = gamma.data.reshape(bshape) * inv_std.reshape(bshape)
             if training:
-                g_mean = g.mean(axis=axes, keepdims=True)
-                gx_mean = (g * x_hat).mean(axis=axes, keepdims=True)
-                _accum(x, gs * (g - g_mean - x_hat * gx_mean))
+                # the means as numpy's mean takes them: each sum divided in
+                # place by the item count, an intp
+                count = np.intp(math.prod(x.shape[1:]))
+                g_mean = np.true_divide(g_sum, count, out=g_sum, casting="unsafe")
+                gx_mean = np.true_divide(gx_sum, count, out=gx_sum, casting="unsafe")
+                # gs * (g - g_mean - x_hat * gx_mean), with gx's buffer reused
+                dx = g - g_mean.reshape(bshape)
+                dx -= np.multiply(x_hat, gx_mean.reshape(bshape), out=gx)
+                dx *= gs
+                _accum(x, dx)
             else:
                 _accum(x, gs * g)
 

@@ -10,7 +10,7 @@ import pytest
 from tamseg import cli
 from tamseg.cli import main
 from tamseg.experiments import ExperimentConfig
-from tamseg.tnsr import read_json, write_array, write_json
+from tamseg.tnsr import read_bundle, read_json, write_array, write_bundle, write_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -96,6 +96,17 @@ class TestGen:
         assert run(*args) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "ds").exists()
+
+    def test_checkpoint_bundle_refused_exit_1(self, tmp_path, capsys):
+        write_bundle(tmp_path / "ck", {"w": np.ones(3)}, {"step": 1})
+        code = run("gen", "--out", str(tmp_path / "ck"), "--size", "32", "--t", "2",
+                   "--train-cases", "1", "--val-cases", "0", "--test-cases", "0")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        arrays, meta = read_bundle(tmp_path / "ck")
+        np.testing.assert_array_equal(arrays["w"], np.ones(3))
+        assert meta == {"step": 1}
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json", "w.tnsr"]
 
     def test_identical_flags_identical_bytes(self, tmp_path):
         a = gen_tiny(tmp_path, "a")

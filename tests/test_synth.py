@@ -6,7 +6,8 @@ import pytest
 from tamseg.errors import ValidationError
 from tamseg.synth import (BACKGROUND, CAVITY, WALL, QUALITY_TIERS,
                           SequenceSpec, generate, load_dataset, write_dataset)
-from tamseg.tnsr import read_array, read_json, write_array, write_json
+from tamseg.tnsr import (read_array, read_bundle, read_json, write_array,
+                         write_bundle, write_json)
 
 SMALL = dict(extents=(32, 32), frames=3)
 
@@ -269,6 +270,31 @@ class TestDatasetRewrite:
         assert files == named
         assert outside.read_bytes() == b"not ours"
         assert len(load_dataset(tmp_path / "ds")["train"]) == 1
+
+
+class TestForeignManifestRefused:
+    """A directory whose manifest.json is not a synth dataset's is left alone."""
+
+    @staticmethod
+    def _refused(root):
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        with pytest.raises(ValidationError, match="manifest.json"):
+            write_dataset(root, {"train": [SequenceSpec(seed=1, **SMALL)]})
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+
+    def test_checkpoint_bundle_still_loads(self, tmp_path):
+        arrays = {"w": np.arange(6.0).reshape(2, 3)}
+        write_bundle(tmp_path / "ck", arrays, {"step": 3})
+        self._refused(tmp_path / "ck")
+        loaded, meta = read_bundle(tmp_path / "ck")
+        np.testing.assert_array_equal(loaded["w"], arrays["w"])
+        assert meta == {"step": 3}
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"format": "other"}'])
+    def test_unreadable_or_foreign_manifest(self, tmp_path, text):
+        (tmp_path / "ds").mkdir()
+        (tmp_path / "ds" / "manifest.json").write_text(text)
+        self._refused(tmp_path / "ds")
 
 
 class TestDatasetRejects:

@@ -551,6 +551,32 @@ class TestConvPlanCache:
                 T.conv_nd(x, Tensor(np.zeros((1, 1, 1, 1, 1))))
 
 
+class TestFirstGradientWrite:
+    """A tensor's first gradient is ``g + 0.0`` in a new array: the bytes a
+    zero fill plus an add gave."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_negative_zero_lands_as_positive_zero(self, dtype):
+        t = Tensor(np.ones(4, dtype), requires_grad=True)
+        g = np.array([-0.0, 0.0, -1.5, 2.0], dtype)
+        T._accum(t, g)
+        assert t.grad.dtype == dtype
+        np.testing.assert_array_equal(np.signbit(t.grad.data), [False, False, True, False])
+        assert not np.shares_memory(t.grad.data, g)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_two_consumers_accumulate_to_the_former_bytes(self, dtype):
+        rng = np.random.default_rng(74)
+        x = Tensor(rng.normal(size=6).astype(dtype), requires_grad=True)
+        a, b = (rng.normal(size=6).astype(dtype) for _ in range(2))
+        a[:3] = b[1:4] = -0.0  # -0.0 from either consumer, and from both
+        T.backward(T.tsum(T.mul(x, Tensor(a))) + T.tsum(T.mul(x, Tensor(b))))
+        former = np.zeros(6, dtype)
+        former += a
+        former += b
+        assert x.grad.data.tobytes() == former.tobytes()
+
+
 class TestResultInvariant:
     """Every op output is a C-contiguous float array of its inputs' dtype,
     whether ``_result`` took it as is or normalized it."""
