@@ -123,9 +123,9 @@ def train(cfg: ExperimentConfig, log=None) -> dict:
     """Train one configuration; returns a summary dict.
 
     Writes into ``cfg.outdir``: config.json, loss_curve.csv, summary.json,
-    and checkpoint bundles (best validation and last step). Validation
-    passes run under ``tensor.no_grad``. Aborts with :class:`NumericError`
-    on a non-finite loss.
+    and the bundles (``tnsr``) checkpoint_best and checkpoint_last, each a
+    manifest.json and a tensors.tnsr. Validation passes run under
+    ``tensor.no_grad``. Aborts with :class:`NumericError` on a non-finite loss.
     """
     if not cfg.dataset:
         raise ValidationError("config has no dataset path")
@@ -224,9 +224,9 @@ def _save_checkpoint(path: Path, model, cfg: ExperimentConfig, step: int,
 def load_checkpoint(path) -> tuple[object, ExperimentConfig, dict]:
     """Rebuild the model stored in a checkpoint bundle.
 
-    A foreign or malformed manifest, a truncated tensor file or a manifest
-    whose ``meta`` has no ``config`` raises :class:`ValidationError` naming
-    the checkpoint directory.
+    A foreign, malformed or version-1 manifest, a payload that is truncated
+    or not the length its extents add up to, or a manifest whose ``meta``
+    has no ``config`` raises :class:`ValidationError` naming the checkpoint.
     """
     try:
         arrays, meta = read_bundle(path)

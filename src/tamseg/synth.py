@@ -8,25 +8,27 @@ and last frames are annotated, mirroring data where intermediate frames
 carry no labels. Degradations: multiplicative speckle noise and rectangular
 signal-dropout patches, with presets from mild to severe.
 
-On disk a dataset is a directory with ``manifest.json`` and one
-subdirectory per case holding ``frame_XX.tnsr`` (float32 image) and
-``mask_XX.tnsr`` (u8 labels) for each frame. Each manifest case entry gives
-its ``id``, its ``spec``, its ``frames`` and ``masks`` file lists and its
-``annotated`` frame ids. The spec is the one record of voxel spacing: a
-loaded mask takes its spacing from it.
+On disk a dataset is a directory of three files. ``frames.tnsr`` and
+``masks.tnsr`` are flat payloads (see ``tnsr``) of every frame's float32
+image and u8 labels, in order of split name, case and frame. ``manifest.json``
+(version 2) maps each split to its cases, each an ``id``, a ``spec`` and
+the ``annotated`` frame ids. The spec is the one record of a frame's
+extents and voxel spacing: a loaded frame takes its shape and its mask
+its spacing from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .metrics import SegmentationMask
-from .tnsr import read_array, read_json, write_array, write_json
+from .tnsr import read_flat, read_json, write_flat, write_json
 
 BACKGROUND, CAVITY, WALL = 0, 1, 2
 
@@ -42,6 +44,8 @@ QUALITY_TIERS = {
 }
 
 DROPOUT_TARGETS = ("unannotated", "annotated", "all", "none")
+
+DATASET_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -189,155 +193,98 @@ def generate(spec: SequenceSpec) -> SequenceSample:
 
 
 def write_dataset(root, splits: dict[str, list[SequenceSpec]]) -> None:
-    """Write a dataset directory: one subdirectory per case plus a manifest.
+    """Write a dataset directory: ``frames.tnsr``, ``masks.tnsr`` and a manifest.
 
     ``splits`` maps split names (train/val/test) to the specs of their cases.
-    Over an earlier dataset, the files its synth manifest names that this one
-    does not write are deleted once the new manifest is in place, if they
-    resolve inside ``root``, and so are the case directories that leaves
-    empty. No other file is touched. A ``manifest.json`` in ``root`` that is
-    not a synth-dataset manifest (a checkpoint bundle's, say, or one that is
-    no JSON) raises :class:`ValidationError` before any file is written.
+    Over an earlier dataset the three files are replaced and no other file
+    is touched. A ``manifest.json`` in ``root`` that is not a version-2
+    synth dataset's (a checkpoint bundle's, a version-1 dataset's, or one
+    that is no JSON) raises :class:`ValidationError` before any file is
+    written.
     """
     root = Path(root)
-    earlier = []
     if (root / "manifest.json").exists():
-        try:
-            found = read_json(root / "manifest.json")
-        except (OSError, ValueError):
-            found = None
-        if not isinstance(found, dict) or found.get("format") != "synth-dataset":
-            raise ValidationError(f"{root} holds a manifest.json that is not a synth "
-                                  "dataset's; refusing to write over it")
-        earlier = _manifest_files(found)
-    root.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"format": "synth-dataset", "version": 1, "splits": {}}
-    for split, specs in splits.items():
-        cases = []
-        for i, spec in enumerate(specs):
-            case_id = f"{split}_{i:03d}"
-            case_dir = root / case_id
-            case_dir.mkdir(exist_ok=True)
-            sample = generate(spec)
-            frame_files, mask_files = [], []
-            for t in range(sample.frames):
-                f_name = f"frame_{t:02d}.tnsr"
-                m_name = f"mask_{t:02d}.tnsr"
-                write_array(case_dir / f_name, sample.images[t])
-                write_array(case_dir / m_name, sample.masks[t].labels)
-                frame_files.append(f"{case_id}/{f_name}")
-                mask_files.append(f"{case_id}/{m_name}")
-            cases.append({
-                "id": case_id,
-                "spec": spec.to_json_dict(),
-                "frames": frame_files,
-                "masks": mask_files,
-                "annotated": list(sample.annotated),
-            })
-        manifest["splits"][split] = cases
-    write_json(root / "manifest.json", manifest)
-    if earlier:
-        _delete_stale(root, earlier, _manifest_files(manifest))
-
-
-def _delete_stale(root: Path, earlier: list[str], written: list[str]) -> None:
-    """Delete the files named in ``earlier`` but not in ``written`` that lie inside ``root``.
-
-    Then delete the directories those files leave empty. The manifest itself
-    and anything outside ``root`` are never deleted.
-    """
-    top = root.resolve()
-    kept = {(root / name).resolve() for name in written} | {top / "manifest.json"}
-    stale = {path for path in ((root / name).resolve() for name in earlier)
-             if top in path.parents and path not in kept}
-    for path in stale:
-        if path.is_file():
-            path.unlink()
-    for case_dir in sorted({path.parent for path in stale} - {top}, reverse=True):
-        if case_dir.is_dir() and not any(case_dir.iterdir()):
-            case_dir.rmdir()
-
-
-def _manifest_files(manifest: dict) -> list[str]:
-    """The frame and mask names a synth manifest lists."""
-    splits = manifest.get("splits")
-    names = []
-    for cases in splits.values() if isinstance(splits, dict) else ():
-        for case in cases if isinstance(cases, list) else ():
-            for kind in ("frames", "masks"):
-                files = case.get(kind) if isinstance(case, dict) else None
-                if isinstance(files, list):
-                    # a NUL byte is no path: resolving it would raise
-                    names += [name for name in files
-                              if isinstance(name, str) and "\0" not in name]
-    return names
+        _read_manifest(root)
+    samples = {split: [generate(spec) for spec in splits[split]] for split in sorted(splits)}
+    every = [sample for cases in samples.values() for sample in cases]
+    write_flat(root / "frames.tnsr", [img for s in every for img in s.images], np.float32)
+    write_flat(root / "masks.tnsr", [m.labels for s in every for m in s.masks], np.uint8)
+    write_json(root / "manifest.json", {
+        "format": "synth-dataset", "version": DATASET_VERSION,
+        "splits": {split: [{"id": f"{split}_{i:03d}", "spec": s.spec.to_json_dict(),
+                            "annotated": list(s.annotated)}
+                           for i, s in enumerate(cases)]
+                   for split, cases in samples.items()}})
 
 
 def load_dataset(root) -> dict[str, list[SequenceSample]]:
     """Read a dataset directory back into memory.
 
-    A manifest that is not JSON, not an object, or whose ``splits`` is not
-    an object of lists raises :class:`ValidationError` naming the dataset.
-    A case whose manifest entry is not an object or lacks a key, whose spec
-    ``SequenceSpec`` refuses, or whose entry or files do not fit its spec
-    (file count, annotated frame ids, array shape, unreadable array), raises
-    :class:`ValidationError` naming the case. So does a frame that is not
-    float32 or a mask that is not u8, since a cast would silently turn a u8
-    image or a fractional label into something else.
+    A manifest that is not a version-2 synth dataset's, or whose ``splits``
+    is not an object of lists, raises :class:`ValidationError` naming the
+    dataset; a case entry that is not an object, lacks a key, holds a spec
+    ``SequenceSpec`` refuses or annotated frames outside its frames, names
+    the case. A payload whose length is not the sum of its frames' sizes, or
+    whose dtype is not float32 (frames) or u8 (masks), names the file: a
+    cast would silently turn a u8 image or a fractional label into
+    something else.
     """
     root = Path(root)
+    splits = _read_manifest(root).get("splits")
+    if not (isinstance(splits, dict) and all(isinstance(c, list) for c in splits.values())):
+        raise ValidationError(f"dataset {root}: manifest 'splits' is not an object of lists")
+    entries = {split: [_case_entry(root, case, f"{split} case {i}")
+                       for i, case in enumerate(splits[split])]
+               for split in sorted(splits)}
+    shapes = [spec.extents for cases in entries.values() for spec, _ in cases
+              for _ in range(spec.frames)]
+    images = iter(_read_payload(root / "frames.tnsr", shapes, np.float32))
+    labels = iter(_read_payload(root / "masks.tnsr", shapes, np.uint8))
+    return {split: [SequenceSample(spec, list(islice(images, spec.frames)),
+                                   [SegmentationMask(m.astype(np.int64), spec.spacing)
+                                    for m in islice(labels, spec.frames)], annotated)
+                    for spec, annotated in cases]
+            for split, cases in entries.items()}
+
+
+def _read_manifest(root: Path) -> dict:
+    """The manifest in ``root``, unless it is not a version-2 synth dataset's."""
     try:
         manifest = read_json(root / "manifest.json")
     except ValueError as exc:
         raise ValidationError(f"dataset {root}: manifest.json is not JSON ({exc})") from exc
-    if (not isinstance(manifest, dict) or manifest.get("format") != "synth-dataset"
-            or "splits" not in manifest):
-        raise ValidationError(f"{root} does not hold a synth dataset manifest")
-    splits = manifest["splits"]
-    if not (isinstance(splits, dict) and all(isinstance(c, list) for c in splits.values())):
-        raise ValidationError(f"dataset {root}: manifest 'splits' is not an object of lists")
-    return {split: [_load_case(root, case, f"{split} case {i}")
-                    for i, case in enumerate(cases)]
-            for split, cases in splits.items()}
+    if not isinstance(manifest, dict) or manifest.get("format") != "synth-dataset":
+        raise ValidationError(f"{root}/manifest.json is not a synth dataset manifest")
+    if manifest.get("version") != DATASET_VERSION:
+        raise ValidationError(f"{root}/manifest.json is a version {manifest.get('version')!r} "
+                              f"dataset's, not {DATASET_VERSION}; regenerate the dataset "
+                              "with `tamseg gen` into a new directory")
+    return manifest
 
 
-def _load_case(root: Path, case, position: str) -> SequenceSample:
+def _case_entry(root: Path, case, position: str) -> tuple[SequenceSpec, tuple[int, ...]]:
+    """The spec and annotated frame ids of one manifest case entry."""
     if not isinstance(case, dict):
         raise ValidationError(f"dataset {root}, {position}: manifest entry is not an object")
     where = f"dataset {root}, {case.get('id', position)}"
     try:
         spec = SequenceSpec.from_json_dict(case["spec"])
-        files = {"frames": case["frames"], "masks": case["masks"]}
         annotated = tuple(case["annotated"])
     except KeyError as exc:
         raise ValidationError(f"{where}: manifest entry has no {exc} key") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
-    for kind, names in files.items():
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-            raise ValidationError(f"{where}: {kind} is not a list of file names")
-        if len(names) != spec.frames:
-            raise ValidationError(f"{where}: lists {len(names)} {kind}, "
-                                  f"its spec has {spec.frames}")
     if any(not isinstance(i, int) or not 0 <= i < spec.frames for i in annotated):
         raise ValidationError(f"{where}: annotated frames {annotated} outside "
                               f"its {spec.frames} frames")
+    return spec, annotated
 
-    def read(name: str, dtype) -> np.ndarray:
-        try:
-            arr = read_array(root / name)
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-        if arr.shape != spec.extents:
-            raise ValidationError(f"{where}: {name} has shape {arr.shape}, "
-                                  f"its spec has extents {spec.extents}")
-        if arr.dtype != dtype:
-            raise ValidationError(f"{where}: {name} holds {arr.dtype}, "
-                                  f"expected {np.dtype(dtype)}")
-        return arr
 
-    images = [read(f, np.float32) for f in files["frames"]]
-    masks = [SegmentationMask(read(f, np.uint8).astype(np.int64), spec.spacing)
-             for f in files["masks"]]
-    return SequenceSample(spec=spec, images=images, masks=masks,
-                          annotated=annotated)
+def _read_payload(path: Path, shapes, dtype) -> list[np.ndarray]:
+    try:
+        arrays = read_flat(path, shapes)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+    if arrays and arrays[0].dtype != dtype:
+        raise ValidationError(f"{path} holds {arrays[0].dtype}, expected {np.dtype(dtype)}")
+    return arrays

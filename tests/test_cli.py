@@ -10,7 +10,8 @@ import pytest
 from tamseg import cli
 from tamseg.cli import main
 from tamseg.experiments import ExperimentConfig
-from tamseg.tnsr import read_bundle, read_json, write_array, write_bundle, write_json
+from tamseg.tnsr import (read_array, read_bundle, read_json, write_array, write_bundle,
+                         write_json)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -106,7 +107,22 @@ class TestGen:
         arrays, meta = read_bundle(tmp_path / "ck")
         np.testing.assert_array_equal(arrays["w"], np.ones(3))
         assert meta == {"step": 1}
-        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json", "w.tnsr"]
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == [
+            "manifest.json", "tensors.tnsr"]
+
+    def test_version_1_dataset_refused_exit_1_before_any_file(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        (ds / "train_000").mkdir(parents=True)
+        write_array(ds / "train_000" / "frame_00.tnsr", np.ones((32, 32), np.float32))
+        write_json(ds / "manifest.json", {"format": "synth-dataset", "version": 1,
+                                          "splits": {"train": []}})
+        before = {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()}
+        code = run("gen", "--out", str(ds), "--size", "32", "--t", "2",
+                   "--train-cases", "1", "--val-cases", "0", "--test-cases", "0")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ds) in err and "version 1" in err
+        assert {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()} == before
 
     def test_identical_flags_identical_bytes(self, tmp_path):
         a = gen_tiny(tmp_path, "a")
@@ -165,24 +181,30 @@ class TestTrainEval:
         assert code == 2
 
     @pytest.mark.parametrize("damage", ["truncated_tensor", "foreign_format",
-                                        "no_config", "tensors_list",
-                                        "file_outside_bundle"])
+                                        "no_config", "tensors_dict", "payload_short",
+                                        "v1_bundle"])
     def test_damaged_checkpoint_exit_1(self, tmp_path, capsys, damage):
         ds = gen_tiny(tmp_path)
         ckpt = tmp_path / "run" / "checkpoint_best"
         assert run(*self.train_args(ds, tmp_path / "run", steps="2")) == 0
         manifest = read_json(ckpt / "manifest.json")
+        payload = ckpt / "tensors.tnsr"
         if damage == "truncated_tensor":
-            head = ckpt / "head.w.tnsr"
-            head.write_bytes(head.read_bytes()[:-4])
+            payload.write_bytes(payload.read_bytes()[:-4])
         elif damage == "foreign_format":
             manifest["format"] = "zip-bundle"
-        elif damage == "tensors_list":
-            manifest["tensors"] = sorted(manifest["tensors"])
-        elif damage == "file_outside_bundle":
-            # a valid tensor file, but reached through the parent directory
-            (ckpt.parent / "head.w.tnsr").write_bytes((ckpt / "head.w.tnsr").read_bytes())
-            manifest["tensors"]["head.w"] = "../head.w.tnsr"
+        elif damage == "tensors_dict":
+            manifest["tensors"] = dict(manifest["tensors"])
+        elif damage == "payload_short":
+            write_array(payload, read_array(payload)[:-1])
+        elif damage == "v1_bundle":
+            # one file per tensor, as version 1 wrote them
+            arrays, _ = read_bundle(ckpt)
+            payload.unlink()
+            for name, arr in arrays.items():
+                write_array(ckpt / f"{name.replace('/', '_')}.tnsr", arr)
+            manifest.update(version=1, tensors={name: f"{name.replace('/', '_')}.tnsr"
+                                                for name in arrays})
         else:
             del manifest["meta"]["config"]
         write_json(ckpt / "manifest.json", manifest)
@@ -197,7 +219,8 @@ class TestTrainEval:
     @pytest.mark.parametrize("damage, names", [
         ("manifest_list", None), ("manifest_truncated", None), ("splits_list", None),
         ("split_of_objects", None), ("case_not_object", "train case 0"),
-        ("unknown_spec_key", "train_000"), ("spacing_not_numbers", "train_000")])
+        ("unknown_spec_key", "train_000"), ("spacing_not_numbers", "train_000"),
+        ("version_1", "version 1")])
     def test_hostile_dataset_manifest_exit_1(self, tmp_path, capsys, command, damage,
                                              names):
         ds = gen_tiny(tmp_path)
@@ -215,6 +238,8 @@ class TestTrainEval:
             manifest["splits"]["train"][0]["spec"]["speckle"] = 0.5
         elif damage == "spacing_not_numbers":
             manifest["splits"]["train"][0]["spec"]["spacing"] = ["a", "b"]
+        elif damage == "version_1":
+            manifest["version"] = 1
         write_json(path, manifest)
         if damage == "manifest_truncated":
             path.write_text("{")
@@ -230,10 +255,11 @@ class TestTrainEval:
 
     def test_divergence_maps_to_exit_2(self, tmp_path, capsys):
         ds = gen_tiny(tmp_path)
-        manifest = read_json(ds / "manifest.json")
-        frame_rel = manifest["splits"]["train"][0]["frames"][0]
-        write_array(ds / frame_rel,
-                    np.full((32, 32), np.nan, dtype=np.float32))
+        # poison train_000's first frame: splits lie in name order in the
+        # payload, so it follows the two frames of test_000
+        frames = read_array(ds / "frames.tnsr")
+        frames[2 * 32 * 32:3 * 32 * 32] = np.nan
+        write_array(ds / "frames.tnsr", frames)
         code = run(*self.train_args(ds, tmp_path / "run"))
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err

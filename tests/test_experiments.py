@@ -11,7 +11,7 @@ from tamseg.experiments import (ExperimentConfig, ablate, evaluate,
                                 load_checkpoint, make_dataset,
                                 select_frame_indices, train)
 from tamseg.synth import load_dataset
-from tamseg.tnsr import read_json, write_array
+from tamseg.tnsr import read_array, read_json, write_array
 from tamseg.unet import build_model
 
 TINY = dict(levels=2, channels=(4, 8), heads=1, steps=10, lr=1e-3,
@@ -142,10 +142,11 @@ class TestTraining:
     def test_nan_input_aborts_with_numeric_error(self, tmp_path):
         tiny_dataset(tmp_path / "ds")
         # poison one training frame on disk
-        manifest = read_json(tmp_path / "ds" / "manifest.json")
-        frame_rel = manifest["splits"]["train"][0]["frames"][0]
-        write_array(tmp_path / "ds" / frame_rel,
-                    np.full((32, 32), np.nan, dtype=np.float32))
+        # poison train_000's first frame: splits lie in name order in the
+        # payload, so it follows the two frames of test_000
+        frames = read_array(tmp_path / "ds" / "frames.tnsr")
+        frames[2 * 32 * 32:3 * 32 * 32] = np.nan
+        write_array(tmp_path / "ds" / "frames.tnsr", frames)
         cfg = ExperimentConfig(dataset=str(tmp_path / "ds"),
                                outdir=str(tmp_path / "run"), **TINY)
         with pytest.raises(NumericError, match="diverged at step"):

@@ -7,6 +7,12 @@ from tamseg.tnsr import (read_array, read_bundle, read_json, write_array,
                          write_bundle, write_json)
 
 
+def _bundle(**manifest):
+    """A version-2 bundle manifest of one 2-element tensor, with ``manifest`` changed."""
+    return {"format": "tnsr-bundle", "version": 2, "tensors": [["a", [2]]], "meta": {},
+            **manifest}
+
+
 class TestArrayRoundTrip:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
     def test_dtypes_survive(self, tmp_path, dtype):
@@ -85,30 +91,64 @@ class TestBundles:
             np.testing.assert_array_equal(back[name], arrays[name])
         assert got_meta == meta
 
-    def test_bundle_name_sanitization(self, tmp_path):
-        write_bundle(tmp_path / "b", {"a/b": np.zeros(1, dtype=np.float32)})
-        arrays, _ = read_bundle(tmp_path / "b")
-        assert "a/b" in arrays
+    def test_names_that_differ_only_in_a_slash_keep_their_arrays(self, tmp_path):
+        arrays = {"a/b": np.zeros(2, dtype=np.float32),
+                  "a_b": np.ones((1, 3), dtype=np.float32)}
+        write_bundle(tmp_path / "b", arrays)
+        back, _ = read_bundle(tmp_path / "b")
+        assert sorted(back) == ["a/b", "a_b"]
+        for name, want in arrays.items():
+            assert back[name].shape == want.shape
+            np.testing.assert_array_equal(back[name], want)
+
+    def test_layout_is_a_manifest_and_one_payload(self, tmp_path):
+        write_bundle(tmp_path / "b", {"w": np.ones((2, 3)), "b": np.zeros(0)}, {"k": 1})
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "manifest.json", "tensors.tnsr"]
+        manifest = read_json(tmp_path / "b" / "manifest.json")
+        assert manifest["version"] == 2
+        assert manifest["tensors"] == [["b", [0]], ["w", [2, 3]]]
+        flat = read_array(tmp_path / "b" / "tensors.tnsr")
+        assert flat.shape == (6,) and flat.dtype == np.float64
+
+    def test_mixed_dtypes_refused_before_any_file(self, tmp_path):
+        with pytest.raises(ValueError, match="one dtype"):
+            write_bundle(tmp_path / "b", {"a": np.zeros(2, np.float32),
+                                          "b": np.zeros(2, np.float64)})
+        assert not (tmp_path / "b").exists()
 
     def test_non_bundle_dir_rejected(self, tmp_path):
         write_json(tmp_path / "d" / "manifest.json", {"format": "other"})
         with pytest.raises(ValueError):
             read_bundle(tmp_path / "d")
 
-    @pytest.mark.parametrize("manifest", [
-        ["tnsr-bundle"],
-        {"format": "tnsr-bundle", "tensors": ["a"], "meta": {}},
-        {"format": "tnsr-bundle", "tensors": {"a": 3}, "meta": {}},
-        {"format": "tnsr-bundle", "tensors": {"a": "a.tnsr"}, "meta": []},
-        {"format": "tnsr-bundle", "tensors": {"a": "../a.tnsr"}, "meta": {}},
-        {"format": "tnsr-bundle", "tensors": {"a": "sub/a.tnsr"}, "meta": {}},
-        {"format": "tnsr-bundle", "tensors": {"a": ".."}, "meta": {}},
+    @pytest.mark.parametrize("manifest, payload, match", [
+        (["tnsr-bundle"], 2, "not a TNSR bundle"),
+        (_bundle(version=1, tensors={"a": "a.tnsr"}), 2, "version 1"),
+        (_bundle(version=None), 2, "version None"),
+        (_bundle(tensors={"a": "tensors.tnsr"}), 2, "tensors"),
+        (_bundle(tensors=["a"]), 2, "tensors"),
+        (_bundle(tensors=[["a", [2], "x"]]), 2, "tensors"),
+        (_bundle(tensors=[[3, [2]]]), 2, "tensors"),
+        (_bundle(tensors=[["a", 2]]), 2, "tensors"),
+        (_bundle(tensors=[["a", [True, 2]]]), 2, "tensors"),
+        (_bundle(tensors=[["a", [-1]]]), 2, "tensors"),
+        (_bundle(tensors=[["a", [2.0]]]), 2, "tensors"),
+        (_bundle(tensors=[["a", [1]], ["a", [1]]]), 2, "twice"),
+        (_bundle(meta=[]), 2, "meta"),
+        (_bundle(), 1, "hold 2 elements"),
+        (_bundle(), 3, "hold 2 elements"),
+        (_bundle(), "truncated", "payload size"),
     ])
-    def test_hostile_manifest_types_rejected(self, tmp_path, manifest):
-        write_array(tmp_path / "a.tnsr", np.zeros(1, dtype=np.float32))
-        write_array(tmp_path / "d" / "sub" / "a.tnsr", np.zeros(1, dtype=np.float32))
+    def test_hostile_manifest_types_rejected(self, tmp_path, manifest, payload, match):
+        path = tmp_path / "d" / "tensors.tnsr"
+        if payload == "truncated":
+            write_array(path, np.zeros(2, dtype=np.float32))
+            path.write_bytes(path.read_bytes()[:-1])
+        else:
+            write_array(path, np.zeros(payload, dtype=np.float32))
         write_json(tmp_path / "d" / "manifest.json", manifest)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             read_bundle(tmp_path / "d")
 
 

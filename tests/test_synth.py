@@ -198,20 +198,33 @@ class TestDatasetOnDisk:
                 assert a.spacing == spec.spacing
 
     def test_layout(self, tmp_path):
-        write_dataset(tmp_path / "ds", {"train": [SequenceSpec(**SMALL)]})
-        files = sorted(p.name for p in (tmp_path / "ds" / "train_000").iterdir())
-        assert files == ["frame_00.tnsr", "frame_01.tnsr", "frame_02.tnsr",
-                         "mask_00.tnsr", "mask_01.tnsr", "mask_02.tnsr"]
-        assert read_array(tmp_path / "ds" / "train_000" / "mask_00.tnsr").dtype \
-            == np.uint8
-        (case,) = read_json(tmp_path / "ds" / "manifest.json")["splits"]["train"]
-        assert sorted(case) == ["annotated", "frames", "id", "masks", "spec"]
+        specs = [SequenceSpec(**SMALL), SequenceSpec(seed=1, extents=(32, 40), frames=2)]
+        write_dataset(tmp_path / "ds", {"val": specs[1:], "train": specs[:1]})
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
+            "frames.tnsr", "manifest.json", "masks.tnsr"]
+        manifest = read_json(tmp_path / "ds" / "manifest.json")
+        assert manifest["version"] == 2
+        (case,) = manifest["splits"]["train"]
+        assert sorted(case) == ["annotated", "id", "spec"]
+        # split name, case, frame: train's 3 frames of 32x32, then val's 2 of 32x40
+        want = [generate(spec) for spec in specs]
+        for name, dtype, field in (("frames.tnsr", np.float32, "images"),
+                                   ("masks.tnsr", np.uint8, "masks")):
+            flat = read_array(tmp_path / "ds" / name)
+            assert flat.dtype == dtype and flat.shape == (3 * 32 * 32 + 2 * 32 * 40,)
+            arrays = [getattr(a, "labels", a) for sample in want
+                      for a in getattr(sample, field)]
+            np.testing.assert_array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
 
-    def test_rejects_foreign_manifest(self, tmp_path):
+    @pytest.mark.parametrize("manifest, match", [
+        ({"format": "other"}, "synth dataset manifest"),
+        ({"format": "synth-dataset", "version": 1, "splits": {}}, "version 1")])
+    def test_rejects_foreign_manifest(self, tmp_path, manifest, match):
         (tmp_path / "ds").mkdir()
-        write_json(tmp_path / "ds" / "manifest.json", {"format": "other"})
-        with pytest.raises(ValidationError):
+        write_json(tmp_path / "ds" / "manifest.json", manifest)
+        with pytest.raises(ValidationError, match=match) as info:
             load_dataset(tmp_path / "ds")
+        assert str(tmp_path / "ds") in str(info.value)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         splits = {"train": [SequenceSpec(seed=1, **SMALL)]}
@@ -228,48 +241,16 @@ class TestDatasetOnDisk:
 
 
 class TestDatasetRewrite:
-    """A dataset written over an earlier one leaves none of the earlier files."""
-
-    @staticmethod
-    def _write_twice(root, before=None):
-        write_dataset(root, {"train": [SequenceSpec(seed=s, **SMALL) for s in range(2)]})
-        if before is not None:
-            before(root)
-        write_dataset(root, {"train": [SequenceSpec(seed=5, extents=(32, 32), frames=2)]})
-        manifest = read_json(root / "manifest.json")
-        named = {"manifest.json"} | {name for case in manifest["splits"]["train"]
-                                     for name in case["frames"] + case["masks"]}
-        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}, named
+    """A dataset written over an earlier one replaces its three files."""
 
     def test_only_the_new_manifest_files_remain(self, tmp_path):
-        files, named = self._write_twice(tmp_path / "ds")
-        assert files == named
-        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
-            "manifest.json", "train_000"]
-        assert len(load_dataset(tmp_path / "ds")["train"]) == 1
-
-    def test_files_no_manifest_names_survive(self, tmp_path):
-        def add_notes(root):
-            (root / "notes.txt").write_text("kept")
-            (root / "train_001" / "notes.txt").write_text("kept")
-
-        files, named = self._write_twice(tmp_path / "ds", add_notes)
-        assert files == named | {"notes.txt", "train_001/notes.txt"}
-
-    def test_the_manifest_and_names_outside_the_directory_survive(self, tmp_path):
-        outside = tmp_path / "outside.tnsr"
-        outside.write_bytes(b"not ours")
-
-        def name_outside(root):
-            manifest = read_json(root / "manifest.json")
-            manifest["splits"]["train"][1]["frames"] += [
-                "../outside.tnsr", "manifest.json", ".", "nul\0.tnsr"]
-            write_json(root / "manifest.json", manifest)
-
-        files, named = self._write_twice(tmp_path / "ds", name_outside)
-        assert files == named
-        assert outside.read_bytes() == b"not ours"
-        assert len(load_dataset(tmp_path / "ds")["train"]) == 1
+        root = tmp_path / "ds"
+        write_dataset(root, {"train": [SequenceSpec(seed=s, **SMALL) for s in range(2)]})
+        write_dataset(root, {"train": [SequenceSpec(seed=5, extents=(32, 32), frames=2)]})
+        assert sorted(p.name for p in root.iterdir()) == [
+            "frames.tnsr", "manifest.json", "masks.tnsr"]
+        (sample,) = load_dataset(root)["train"]
+        assert sample.spec.seed == 5 and sample.frames == 2
 
 
 class TestForeignManifestRefused:
@@ -290,7 +271,9 @@ class TestForeignManifestRefused:
         np.testing.assert_array_equal(loaded["w"], arrays["w"])
         assert meta == {"step": 3}
 
-    @pytest.mark.parametrize("text", ["{not json", "[]", '{"format": "other"}'])
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", '{"format": "other"}',
+        '{"format": "synth-dataset", "version": 1, "splits": {}}'])
     def test_unreadable_or_foreign_manifest(self, tmp_path, text):
         (tmp_path / "ds").mkdir()
         (tmp_path / "ds" / "manifest.json").write_text(text)
@@ -298,10 +281,10 @@ class TestForeignManifestRefused:
 
 
 class TestDatasetRejects:
-    """Hand-edited copies of a written dataset fail with the case named."""
+    """Hand-edited copies of a written dataset fail with the case or file named."""
 
     @staticmethod
-    def _rejects(tmp_path, change, match):
+    def _rejects(tmp_path, change, match, where="train_001"):
         root = tmp_path / "ds"
         write_dataset(root, {"train": [SequenceSpec(seed=s, **SMALL)
                                        for s in range(2)]})
@@ -310,47 +293,48 @@ class TestDatasetRejects:
         write_json(root / "manifest.json", manifest)
         with pytest.raises(ValidationError, match=match) as info:
             load_dataset(root)
-        assert "train_001" in str(info.value)
+        assert where in str(info.value)
 
-    @pytest.mark.parametrize("key", ["spec", "frames", "masks", "annotated"])
+    @pytest.mark.parametrize("key", ["spec", "annotated"])
     def test_missing_key(self, tmp_path, key):
         self._rejects(tmp_path, lambda root, case: case.pop(key), key)
 
-    @pytest.mark.parametrize("key", ["frames", "masks"])
-    def test_file_count_differs_from_spec(self, tmp_path, key):
-        self._rejects(tmp_path, lambda root, case: case[key].pop(), f"2 {key}")
-
-    @pytest.mark.parametrize("name", ["frame_01.tnsr", "mask_02.tnsr"])
-    def test_shape_differs_from_spec(self, tmp_path, name):
+    # two cases of three 32x32 frames: 6144 elements per payload
+    @pytest.mark.parametrize("name, damage, match", [
+        ("frames.tnsr", "cut_bytes", "payload size"),
+        ("masks.tnsr", "cut_bytes", "payload size"),
+        ("frames.tnsr", "one_short", "hold 6144 elements"),
+        ("masks.tnsr", "one_long", "hold 6144 elements"),
+        ("frames.tnsr", "spec_extents", "hold 6912 elements")])
+    def test_truncated_file(self, tmp_path, name, damage, match):
         def change(root, case):
-            write_array(root / "train_001" / name, np.zeros((32, 16), np.uint8))
-        self._rejects(tmp_path, change, r"\(32, 16\)")
-
-    @pytest.mark.parametrize("name", ["frame_00.tnsr", "mask_01.tnsr"])
-    def test_truncated_file(self, tmp_path, name):
-        def change(root, case):
-            path = root / "train_001" / name
-            path.write_bytes(path.read_bytes()[:-5])
-        self._rejects(tmp_path, change, "payload size")
+            path = root / name
+            flat = read_array(path)
+            if damage == "cut_bytes":
+                path.write_bytes(path.read_bytes()[:-5])
+            elif damage == "one_short":
+                write_array(path, flat[:-1])
+            elif damage == "one_long":
+                write_array(path, np.append(flat, flat[:1]))
+            else:
+                case["spec"]["extents"] = [32, 40]
+        self._rejects(tmp_path, change, match, name)
 
     def test_float_mask_rejected(self, tmp_path):
         # a cast to int would silently relabel 0.7 as 0 and 1.4 as 1
         def change(root, case):
-            labels = np.zeros((32, 32), np.float32)
+            labels = read_array(root / "masks.tnsr").astype(np.float32)
             labels[:8] = 0.7
             labels[8:16] = 1.4
-            write_array(root / "train_001" / "mask_00.tnsr", labels)
-        self._rejects(tmp_path, change, "mask_00.tnsr holds float32")
+            write_array(root / "masks.tnsr", labels)
+        self._rejects(tmp_path, change, "masks.tnsr holds float32", "masks.tnsr")
 
     def test_u8_frame_rejected(self, tmp_path):
         def change(root, case):
-            write_array(root / "train_001" / "frame_01.tnsr",
-                        np.ones((32, 32), np.uint8))
-        self._rejects(tmp_path, change, "frame_01.tnsr holds uint8")
+            write_array(root / "frames.tnsr", np.ones(6 * 32 * 32, np.uint8))
+        self._rejects(tmp_path, change, "frames.tnsr holds uint8", "frames.tnsr")
 
     @pytest.mark.parametrize("key, value, match", [
-        ("frames", "frame_00.tnsr", "frames is not a list"),
-        ("masks", [0, 1, 2], "masks is not a list"),
         ("annotated", ["0"], "annotated"),
         ("spec", [64, 64], "sequence")])
     def test_entry_of_the_wrong_type(self, tmp_path, key, value, match):

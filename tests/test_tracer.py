@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tamseg import costs, gradcheck, optim, tensor, unet
+from tamseg import costs, gradcheck, optim, synth, tensor, tnsr, unet
 from tamseg.attention import FeatureStack, TamConfig, TamParams, tam_forward
 from tamseg.tensor import Tensor, backward
 
@@ -159,3 +159,27 @@ def test_edt_traced_while_ndimage_is_lazy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_traced_bundle_and_dataset_round_trips(tmp_path):
+    # the benchmark reads checkpoint time from the tnsr.write_bundle span and
+    # read bytes from read_array, which every flat payload is read through
+    module = load_tracer()
+    tracer = module.Tracer()
+    arrays = {"w": np.ones((2, 3), np.float32), "b": np.zeros(4, np.float32)}
+    try:
+        tracer.install()
+        tnsr.write_bundle(tmp_path / "ck", arrays, {"step": 1})
+        back, _ = tnsr.read_bundle(tmp_path / "ck")
+        synth.write_dataset(tmp_path / "ds", {
+            "train": [synth.SequenceSpec(extents=(32, 32), frames=2)]})
+        (sample,) = synth.load_dataset(tmp_path / "ds")["train"]
+    finally:
+        tracer.uninstall()
+    np.testing.assert_array_equal(back["w"], arrays["w"])
+    assert sample.frames == 2
+    payloads = [tmp_path / "ck" / "tensors.tnsr", tmp_path / "ds" / "frames.tnsr",
+                tmp_path / "ds" / "masks.tnsr"]
+    assert tracer.counts["tnsr.bytes_read"] == sum(p.stat().st_size for p in payloads)
+    assert tracer.calls("tnsr.write_bundle") == 1
+    assert tracer.calls("synth.write_dataset") == 1
