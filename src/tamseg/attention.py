@@ -106,11 +106,15 @@ class ParameterSet:
     def parameter_count(self) -> int:
         return sum(t.size for t in self.params.values())
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        out = {name: t.data.copy() for name, t in self.params.items()}
-        out.update({name: getattr(state, attr).copy()
-                    for name, (state, attr) in self.stats.items()})
+    def named_arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter and running stat by name: the live arrays, not copies."""
+        out = {name: t.data for name, t in self.params.items()}
+        out.update({name: getattr(state, attr) for name, (state, attr) in self.stats.items()})
         return out
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """A copy of :meth:`named_arrays`, which later training leaves as it is."""
+        return {name: arr.copy() for name, arr in self.named_arrays().items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy ``arrays[name]`` into every array, in place.
@@ -121,19 +125,17 @@ class ParameterSet:
         Every name is checked before any is written, so a rejected checkpoint
         changes nothing.
         """
-        slots = {name: (t, "data") for name, t in self.params.items()}
-        slots.update(self.stats)
+        current = self.named_arrays()
         loaded = {}
-        for name, (owner, attr) in slots.items():
+        for name, arr in current.items():
             if name not in arrays:
                 raise ValidationError(f"checkpoint is missing tensor {name!r}")
-            current = getattr(owner, attr)
-            if np.shape(arrays[name]) != current.shape:
+            if np.shape(arrays[name]) != arr.shape:
                 raise ShapeError(f"checkpoint tensor {name} has shape "
-                                 f"{np.shape(arrays[name])}, expected {current.shape}")
-            loaded[name] = np.asarray(arrays[name], dtype=current.dtype)
-        for name, (owner, attr) in slots.items():
-            getattr(owner, attr)[...] = loaded[name]
+                                 f"{np.shape(arrays[name])}, expected {arr.shape}")
+            loaded[name] = np.asarray(arrays[name], dtype=arr.dtype)
+        for name, arr in current.items():
+            arr[...] = loaded[name]
 
 
 class TamParams(ParameterSet):

@@ -171,6 +171,23 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad.data += g
 
 
+def _accum_fresh(t: Tensor, g: np.ndarray) -> None:
+    """:func:`_accum` for a ``g`` the closure made and hands to no other input.
+
+    ``g`` must have ``t``'s shape and be C-contiguous: a new array, or a
+    view of one that only this call holds. The first write adds ``0.0`` into
+    ``g`` in place (the same bytes as :func:`_accum`'s, ``-0.0`` becoming
+    ``+0.0``) and keeps it as the gradient, so nothing is allocated. A numpy
+    scalar, which a 0-d product gives, or a ``g`` of another dtype than
+    ``t``'s goes through :func:`_accum`.
+    """
+    if (t.requires_grad and t.grad is None and type(g) is np.ndarray
+            and g.dtype == t.data.dtype):
+        t.grad = _wrap(np.add(g, 0.0, g))
+    else:
+        _accum(t, g)
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
@@ -369,8 +386,8 @@ def mul(a: Tensor, b) -> Tensor:
     _check_same_shape(a, b, "mul")
 
     def back(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        _accum_fresh(a, g * b.data)
+        _accum_fresh(b, g * a.data)
 
     return _result(a.data * b.data, (a, b), back, "mul")
 
@@ -382,8 +399,8 @@ def div(a: Tensor, b) -> Tensor:
     _check_same_shape(a, b, "div")
 
     def back(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
+        _accum_fresh(a, g / b.data)
+        _accum_fresh(b, -g * a.data / (b.data * b.data))
 
     return _result(a.data / b.data, (a, b), back, "div")
 
@@ -393,7 +410,7 @@ def recip(a: Tensor) -> Tensor:
     out_data = 1.0 / a.data
 
     def back(g):
-        _accum(a, -g * out_data * out_data)
+        _accum_fresh(a, -g * out_data * out_data)
 
     return _result(out_data, (a,), back, "recip")
 
@@ -401,7 +418,7 @@ def recip(a: Tensor) -> Tensor:
 @_recorded
 def neg(a: Tensor) -> Tensor:
     def back(g):
-        _accum(a, -g)
+        _accum_fresh(a, -g)
 
     return _result(-a.data, (a,), back, "neg")
 
@@ -411,7 +428,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
 
     def back(g):
-        _accum(a, g * s)
+        _accum_fresh(a, g * s)
 
     return _result(a.data * np.asarray(s, dtype=a.dtype), (a,), back, "scale")
 
@@ -435,7 +452,7 @@ def relu(a: Tensor) -> Tensor:
     x = a.data
 
     def back(g):
-        _accum(a, g * (x > 0))
+        _accum_fresh(a, g * (x > 0))
 
     # maximum, not where(mask, ...): NaN must propagate, not flush to zero
     return _result(np.maximum(a.data, 0), (a,), back, "relu")
@@ -450,7 +467,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out_data = out_data.astype(a.dtype, copy=False)
 
     def back(g):
-        _accum(a, g * out_data * (1.0 - out_data))
+        _accum_fresh(a, g * out_data * (1.0 - out_data))
 
     return _result(out_data, (a,), back, "sigmoid")
 
@@ -458,7 +475,7 @@ def sigmoid(a: Tensor) -> Tensor:
 @_recorded
 def log(a: Tensor) -> Tensor:
     def back(g):
-        _accum(a, g / a.data)
+        _accum_fresh(a, g / a.data)
 
     return _result(np.log(a.data), (a,), back, "log")
 
@@ -473,7 +490,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     x = a.data
 
     def back(g):
-        _accum(a, g * ((x >= lo) & (x <= hi)))
+        _accum_fresh(a, g * ((x >= lo) & (x <= hi)))
 
     return _result(np.clip(a.data, lo, hi), (a,), back, "clip")
 
@@ -557,7 +574,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     def back(g):
         full = np.zeros(a.shape, a.dtype)
         full[idx] = g
-        _accum(a, full)
+        _accum_fresh(a, full)
 
     return _result(np.ascontiguousarray(a.data[idx]), (a,), back, "slice")
 
@@ -576,8 +593,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _count(a.shape[0] * a.shape[1] * b.shape[1])
 
     def back(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum_fresh(a, g @ b.data.T)
+        _accum_fresh(b, a.data.T @ g)
 
     return _result(a.data @ b.data, (a, b), back, "matmul")
 
@@ -593,7 +610,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
     def back(g):
         inner = (g * out_data).sum(axis=ax, keepdims=True)
-        _accum(a, out_data * (g - inner))
+        _accum_fresh(a, out_data * (g - inner))
 
     return _result(out_data.astype(a.dtype, copy=False), (a,), back, "softmax")
 
@@ -851,7 +868,7 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
                 dk = dk.reshape(kl, c_out, c_in, -1).transpose(1, 2, 0, 3)
             _accum(kernel, dk.reshape(kernel.shape))
         if x.requires_grad:
-            _accum(x, np.ascontiguousarray(dx_pad[plan.crop]))
+            _accum_fresh(x, np.ascontiguousarray(dx_pad[plan.crop]))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=plan.spatial_axes))
 
@@ -932,7 +949,7 @@ def max_pool(x: Tensor, factor=2) -> Tensor:
             free ^= hit
         # every window holds its maximum, so the last offset takes what is left
         np.copyto(dx[plan.windows[-1]], g, where=free)
-        _accum(x, dx.reshape(x.shape))
+        _accum_fresh(x, dx.reshape(x.shape))
 
     return _result(out_data, (x,), back, "max_pool")
 
@@ -951,7 +968,7 @@ def upsample_nearest(x: Tensor, factor=2) -> Tensor:
         blocks = g.reshape((x.shape[0],) + tuple(
             v for pair in zip(x.shape[1:], factors) for v in pair))
         axes = tuple(2 + 2 * d for d in range(rank))
-        _accum(x, np.ascontiguousarray(blocks.sum(axis=axes)))
+        _accum_fresh(x, np.ascontiguousarray(blocks.sum(axis=axes)))
 
     return _result(np.ascontiguousarray(out_data), (x,), back, "upsample")
 
@@ -1042,8 +1059,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                 dx = g - g_mean.reshape(bshape)
                 dx -= np.multiply(x_hat, gx_mean.reshape(bshape), out=gx)
                 dx *= gs
-                _accum(x, dx)
+                _accum_fresh(x, dx)
             else:
-                _accum(x, gs * g)
+                _accum_fresh(x, gs * g)
 
     return _result(out_data.astype(x.dtype, copy=False), (x, gamma, beta), back, "batch_norm")

@@ -1,14 +1,17 @@
 """Exit codes, output files, and rerun determinism of the command line."""
 
+import os
 import re
 import shlex
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tamseg import cli
+from tamseg import cli, experiments, metrics
 from tamseg.cli import main
+from tamseg.errors import ValidationError
 from tamseg.experiments import ExperimentConfig
 from tamseg.tnsr import (read_array, read_bundle, read_json, write_array, write_bundle,
                          write_json)
@@ -161,6 +164,31 @@ class TestTrainEval:
                    "--out", str(tmp_path / "eval"))
         assert code == 0
         assert "dsc 1.0000" in capsys.readouterr().out
+
+    ERROR = (1, "error: cannot score case_seed20000\n")
+    DEATH = (2, "i/o failure: case_seed20001: worker process died (exit code -9)\n")
+
+    @pytest.mark.parametrize("failure, workers, expected", [
+        ("error", 1, ERROR), ("error", 2, ERROR), ("error", 4, ERROR),
+        ("kill", 2, DEATH), ("kill", 4, DEATH)])
+    def test_eval_case_failure_exit_code(self, tmp_path, capsys, monkeypatch, failure,
+                                         workers, expected):
+        ds = gen_tiny(tmp_path, **{"test-cases": 3})
+        parent = os.getpid()
+        scored = metrics.MetricReport.add_case
+
+        def add_case(report, case, *args):
+            if failure == "error":  # every case fails: the first one's error wins
+                raise ValidationError(f"cannot score {case}")
+            if case == "case_seed20001" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return scored(report, case, *args)
+
+        monkeypatch.setattr(metrics.MetricReport, "add_case", add_case)
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: workers)
+        capsys.readouterr()
+        code = run("eval", "--oracle", "--dataset", str(ds), "--out", str(tmp_path / "eval"))
+        assert (code, capsys.readouterr().err) == expected
 
     def test_eval_without_checkpoint_or_oracle(self, tmp_path, capsys):
         ds = gen_tiny(tmp_path)

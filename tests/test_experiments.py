@@ -1,12 +1,17 @@
 """Train/eval/ablate drivers: artifacts, determinism, failure modes."""
 
 import json
+import multiprocessing
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from tamseg import experiments
-from tamseg.errors import NumericError, ValidationError
+from tamseg.errors import NumericError, ShapeError, ValidationError
 from tamseg.experiments import (ExperimentConfig, ablate, evaluate,
                                 load_checkpoint, make_dataset,
                                 select_frame_indices, train)
@@ -22,6 +27,24 @@ def tiny_dataset(root, seed=0, frames=2, tier="good"):
     make_dataset(root, seed=seed, size=32, frames=frames, tier=tier,
                  counts={"train": 2, "val": 1, "test": 1},
                  dropout_target="unannotated")
+
+
+REPORT_FILES = ["ecdf_dsc.csv", "ecdf_hd_mm.csv", "ecdf_masd_mm.csv", "metrics.csv",
+                "metrics.json"]
+
+
+@pytest.fixture(scope="module")
+def three_case_run(tmp_path_factory):
+    """A dataset with three test cases and a C1 checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("three_cases")
+    make_dataset(root / "ds", seed=0, size=32, frames=2, tier="good",
+                 counts={"train": 2, "val": 1, "test": 3}, dropout_target="unannotated")
+    train(ExperimentConfig(dataset=str(root / "ds"), outdir=str(root / "run"), **TINY))
+    return root
+
+
+def set_workers(monkeypatch, count):
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: count)
 
 
 class TestExperimentConfig:
@@ -114,6 +137,32 @@ class TestTraining:
         model = build_model(cfg.config_id, cfg.backbone(),
                             np.random.default_rng(0))
         assert summary["parameter_count"] == model.parameter_count()
+
+    def test_checkpoint_writes_the_live_arrays(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(**TINY)
+        model = build_model(cfg.config_id, cfg.backbone(), np.random.default_rng(0))
+        handed = {}
+        write_bundle = experiments.write_bundle
+
+        def capture(path, arrays, meta):
+            handed.update(arrays)
+            write_bundle(path, arrays, meta)
+
+        monkeypatch.setattr(experiments, "write_bundle", capture)
+        experiments._save_checkpoint(tmp_path / "live", model, cfg, 3, 0.5)
+        live = {name: t.data for name, t in model.named_parameters().items()}
+        live.update({name: getattr(state, attr)
+                     for name, (state, attr) in model.stats.items()})
+        assert model.stats and handed.keys() == live.keys()
+        for name, arr in live.items():
+            assert np.shares_memory(handed[name], arr), name
+        # the same bytes as a bundle of copies
+        copies = model.to_arrays()
+        monkeypatch.setattr(model, "named_arrays", lambda: copies)
+        experiments._save_checkpoint(tmp_path / "copies", model, cfg, 3, 0.5)
+        for name in ("manifest.json", "tensors.tnsr"):
+            assert ((tmp_path / "live" / name).read_bytes()
+                    == (tmp_path / "copies" / name).read_bytes())
 
     def test_checkpoint_round_trip(self, tmp_path):
         tiny_dataset(tmp_path / "ds")
@@ -230,12 +279,98 @@ class TestEvaluation:
         data = json.loads((tmp_path / "eval" / "metrics.json").read_text())
         assert data["rows"] == result["rows"]
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_files_identical_for_any_worker_count(self, three_case_run, tmp_path,
+                                                  monkeypatch, oracle, workers):
+        def tree(count):
+            set_workers(monkeypatch, count)
+            out = tmp_path / f"eval_{count}"
+            evaluate(three_case_run / "run" / "checkpoint_best",
+                     str(three_case_run / "ds"), out, oracle=oracle)
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        serial = tree(1)
+        assert sorted(serial) == REPORT_FILES
+        assert tree(workers) == serial
+
     def test_missing_split_rejected(self, tmp_path):
         make_dataset(tmp_path / "ds", seed=0, size=32, frames=2, tier="good",
                      counts={"train": 1}, dropout_target="unannotated")
         with pytest.raises(ValidationError, match="test"):
             evaluate(None, str(tmp_path / "ds"), tmp_path / "eval",
                      oracle=True)
+
+
+def _fail_late_first(item):
+    """Items 0 and 1 fail; item 0 after a pause, so item 1's failure comes first."""
+    if item == 0:
+        time.sleep(0.2)
+    if item < 2:
+        raise ShapeError(f"item {item} failed")
+    return item
+
+
+class TestWorkerMap:
+    """``experiments._map_in_workers``: order, errors, deaths, nesting."""
+
+    NAMES = [f"item {i}" for i in range(5)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_results_in_input_order(self, monkeypatch, workers):
+        set_workers(monkeypatch, workers)
+        got = experiments._map_in_workers(lambda i: (i, os.getpid()), list(range(5)),
+                                          self.NAMES)
+        assert [i for i, _ in got] == list(range(5))
+        pids = {pid for _, pid in got}
+        if workers == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and 1 <= len(pids) <= min(workers, 5)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_failure_in_input_order_is_raised(self, monkeypatch, workers):
+        set_workers(monkeypatch, workers)
+        with pytest.raises(ShapeError, match="^item 0 failed$") as info:
+            experiments._map_in_workers(_fail_late_first, list(range(5)), self.NAMES)
+        if workers > 1:  # the worker's traceback is kept as the cause
+            assert "_fail_late_first" in str(info.value.__cause__)
+
+    def test_killed_worker_raises_child_process_error(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+
+        def die_on_three(item):
+            if item == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return item
+
+        with pytest.raises(ChildProcessError, match=r"^item 3: .*-9"):
+            experiments._map_in_workers(die_on_three, list(range(5)), self.NAMES)
+        assert not multiprocessing.active_children()
+
+    def test_runs_in_process_while_another_thread_runs(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            got = experiments._map_in_workers(lambda _: os.getpid(), [0, 1],
+                                              self.NAMES[:2])
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert got == [os.getpid()] * 2 and not thread.is_alive()
+
+    def test_call_inside_a_worker_runs_in_process(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+
+        def nested(item):
+            inner = experiments._map_in_workers(lambda _: os.getpid(), [0, 1, 2],
+                                                self.NAMES[:3])
+            return os.getpid(), inner
+
+        for pid, inner in experiments._map_in_workers(nested, [0, 1], self.NAMES[:2]):
+            assert pid != os.getpid() and inner == [pid] * 3
 
 
 class TestAblation:

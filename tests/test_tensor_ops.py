@@ -552,17 +552,43 @@ class TestConvPlanCache:
 
 
 class TestFirstGradientWrite:
-    """A tensor's first gradient is ``g + 0.0`` in a new array: the bytes a
-    zero fill plus an add gave."""
+    """A tensor's first gradient is ``g + 0.0``: the bytes a zero fill plus an
+    add gave. It goes into a new array, or into ``g`` itself where the
+    closure made ``g`` and hands it to no other input."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_negative_zero_lands_as_positive_zero(self, dtype):
+    @pytest.mark.parametrize("accum, aliased", [(T._accum, False), (T._accum_fresh, True)])
+    def test_negative_zero_lands_as_positive_zero(self, dtype, accum, aliased):
         t = Tensor(np.ones(4, dtype), requires_grad=True)
         g = np.array([-0.0, 0.0, -1.5, 2.0], dtype)
-        T._accum(t, g)
+        accum(t, g)
         assert t.grad.dtype == dtype
         np.testing.assert_array_equal(np.signbit(t.grad.data), [False, False, True, False])
+        assert np.shares_memory(t.grad.data, g) == aliased
+
+    @pytest.mark.parametrize("g", [np.float32(-0.0), np.array([-0.0, 1.0], np.float64)])
+    def test_fresh_write_of_a_scalar_or_another_dtype_is_copied(self, g):
+        t = Tensor(np.ones(np.shape(g), np.float32), requires_grad=True)
+        T._accum_fresh(t, g)
+        assert t.grad.dtype == np.float32 and not np.signbit(t.grad.data).any()
         assert not np.shares_memory(t.grad.data, g)
+
+    def test_no_two_gradients_share_memory(self):
+        rng = np.random.default_rng(75)
+        x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        gamma = Tensor(rng.normal(size=3), requires_grad=True)
+        beta = Tensor(rng.normal(size=3), requires_grad=True)
+        conv = T.conv_nd(x, k, b)
+        norm = T.batch_norm(conv, gamma, beta, BatchNormState(3, np.float64), training=True)
+        flat = T.reshape(norm, (3, 36))
+        pooled = T.max_pool(T.relu(norm))
+        summed = T.add(flat, T.reshape(T.upsample_nearest(pooled), (3, 36)))
+        T.backward(T.tsum(T.mul(summed, summed)))
+        tensors = [x, k, b, gamma, beta, conv, norm, flat, pooled, summed]
+        for (i, s), (j, t) in itertools.combinations(enumerate(tensors), 2):
+            assert not np.shares_memory(s.grad.data, t.grad.data), (i, j)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_two_consumers_accumulate_to_the_former_bytes(self, dtype):
