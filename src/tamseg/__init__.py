@@ -14,6 +14,8 @@ Submodules:
 - ``gradcheck``: finite-difference verification of the engine
 - ``experiments``: training, evaluation, and ablation drivers
 - ``tnsr``: the on-disk tensor and bundle format
+- ``workers``: the forked worker-process map behind evaluation and
+  gradient checks
 
 Heavy imports stay out of package import time so the command line can pin
 threading environment variables first.
@@ -25,7 +27,7 @@ __version__ = "0.1.0"
 
 _SUBMODULES = ("tensor", "optim", "attention", "unet", "losses", "metrics",
                "synth", "costs", "gradcheck", "experiments", "tnsr", "errors",
-               "cli")
+               "workers", "cli")
 
 
 def __getattr__(name):

@@ -208,18 +208,6 @@ def _logits(q_rows: Tensor, k: Tensor) -> Tensor:
     return scale(matmul(q_rows, k), 1.0 / math.sqrt(k.shape[0]))
 
 
-def attention_logits(q: Tensor, k: Tensor) -> Tensor:
-    """Scaled dot-product logits between all query and key positions.
-
-    ``q`` and ``k`` are single-head (width, N) maps; entry (p, r) is the
-    match between query position p and key position r, scaled by
-    1/sqrt(width).
-    """
-    if q.shape[0] != k.shape[0]:
-        raise ShapeError(f"query width {q.shape[0]} != key width {k.shape[0]}")
-    return _logits(transpose(q), k)
-
-
 def head_attention(q_rows: Tensor, k: Tensor, v_rows: Tensor) -> Tensor:
     """Single-head attention from one frame's queries onto another's keys/values.
 

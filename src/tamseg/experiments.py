@@ -6,8 +6,9 @@ timestamp, so rerunning a command reproduces its result files byte for byte
 with single-threaded BLAS. Every run writes its resolved config next to its
 results.
 
-``evaluate`` scores its cases in forked worker processes, one per CPU of the
-process's affinity set (``taskset -c 0`` gives one, which runs in-process),
+``evaluate`` scores its cases in forked worker processes
+(``workers.map_in_workers``), one per CPU of the process's affinity set
+(``taskset -c 0`` gives one, which runs in-process),
 and puts the rows back in case order, so its files are the same bytes for
 any worker count. Each worker holds its own activations. Training, its
 validation passes and the cells of ``ablate`` run one after the other in
@@ -16,19 +17,15 @@ this process; a cell's evaluation is scored as above.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import io
 import csv
-import os
-import threading
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics
+from . import __version__, metrics, workers
 from .costs import configuration_report
 from .errors import NumericError, ValidationError
 from .losses import dice_ce_loss, one_hot
@@ -308,8 +305,8 @@ def evaluate(checkpoint, dataset: str, outdir, split: str = EVAL_SPLIT,
     metrics.ndimage.distance_transform_edt
     case_ids = [f"case_seed{s.spec.seed}" for s in cases]
     report = MetricReport()
-    for rows in _map_in_workers(score, list(zip(case_ids, cases, indices_for)),
-                                case_ids):
+    for rows in workers.map_in_workers(score, list(zip(case_ids, cases, indices_for)),
+                                       case_ids):
         report.rows.extend(rows)
 
     result = {
@@ -328,109 +325,6 @@ def evaluate(checkpoint, dataset: str, outdir, split: str = EVAL_SPLIT,
             atomic_write_text(outdir / f"ecdf_{metric}.csv",
                               ecdf_csv(values, metric))
     return result
-
-
-# set in a forked worker, so that a call made there runs in-process
-_IN_WORKER = False
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set, or 1 where there is none."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return 1
-
-
-class _WorkerTraceback(Exception):
-    """The traceback of an exception raised in a worker process, as text."""
-
-
-def _map_in_workers(fn, items: list, names: list[str]) -> list:
-    """``[fn(item) for item in items]``, computed in forked worker processes.
-
-    One worker per CPU of the affinity set, at most one per item. With one,
-    inside a worker, while another thread runs (a fork copies only the
-    calling thread) or without the ``fork`` start method, the items run here.
-    ``fn`` and the items reach the workers through the fork: only indices go
-    out and ``fn``'s results, which must pickle, come back. Items are handed
-    out in order as workers come free and the results are returned in input
-    order. An exception ``fn`` raises is re-raised here, type and message
-    kept and the worker's traceback as its cause; of several, the first
-    failing item's, as in a serial loop. A worker that dies becomes a
-    ``ChildProcessError`` naming its item ``names[i]``. Every worker is
-    reaped on every path.
-    """
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    count = min(len(items), _cpu_count())
-    if (count <= 1 or _IN_WORKER or threading.active_count() > 1
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return [fn(item) for item in items]
-    ctx = multiprocessing.get_context("fork")
-    workers = {}  # the parent's end of each worker's pipe -> the worker
-    busy = {}  # connection -> index of the item its worker runs
-    results: list = [None] * len(items)
-    failures: dict[int, tuple[BaseException, str]] = {}
-    try:
-        for _ in range(count):
-            conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_serve, args=(fn, items, child_conn), daemon=True)
-            proc.start()
-            # closed here before the next fork, so a worker's death reads as EOF
-            child_conn.close()
-            workers[conn] = proc
-        idle, sent = list(workers), 0
-        while True:
-            while idle and sent < len(items) and not failures:
-                conn = idle.pop()
-                conn.send(sent)
-                busy[conn], sent = sent, sent + 1
-            if not busy:
-                break
-            for conn in wait(list(busy)):
-                index = busy.pop(conn)
-                try:
-                    ok, value, remote_tb = conn.recv()
-                except EOFError:
-                    proc = workers[conn]
-                    proc.join()
-                    failures[index] = (ChildProcessError(
-                        f"{names[index]}: worker process died "
-                        f"(exit code {proc.exitcode})"), "")
-                    continue
-                if ok:
-                    results[index] = value
-                else:
-                    failures[index] = (value, remote_tb)
-                idle.append(conn)
-    except BaseException:
-        for proc in workers.values():
-            proc.kill()
-        raise
-    finally:
-        for conn, proc in workers.items():
-            with contextlib.suppress(OSError):
-                conn.send(None)
-            conn.close()
-            proc.join()
-    if failures:
-        exc, remote_tb = failures[min(failures)]
-        raise exc from (_WorkerTraceback(remote_tb) if remote_tb else None)
-    return results
-
-
-def _serve(fn, items: list, conn) -> None:
-    """A worker's loop: ``fn(items[i])`` for each index received, until ``None``."""
-    global _IN_WORKER
-    _IN_WORKER = True
-    while (index := conn.recv()) is not None:
-        try:
-            reply = (True, fn(items[index]), "")
-        except Exception as exc:
-            reply = (False, exc, traceback.format_exc())
-        conn.send(reply)
 
 
 def make_dataset(root, seed: int, size: int, frames: int, tier: str,

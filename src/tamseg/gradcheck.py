@@ -18,6 +18,19 @@ running statistics only in the calls that run, so they get fewer updates
 during a check than under full evaluation; no check reads them. The check
 suites here back both the test suite and the ``gradcheck`` CLI command; keep
 them cheap enough to run on every change.
+
+The differences run in forked worker processes, one per CPU of the affinity
+set (``workers.map_in_workers``; ``taskset -c 0`` keeps them in-process).
+``check_gradients`` records and backpropagates the first loss and draws every
+sampled coordinate in the caller's process, then hands out units of at most
+``UNIT_COORDS`` coordinates of one tensor; ``run_op_suite`` builds every
+seed's cases in the caller's process and hands out one (seed, case) check
+per unit, which runs in-process inside its worker. Only numeric derivatives
+and errors come back, so the results are the same bytes for any worker
+count. What a worker does stays in it: its changes to tensor data and
+recorded outputs, and whatever a spy in ``build_loss`` or in a replayed op
+records. ``check_gradients`` sets ``.grad`` and calls ``relative_error`` in
+its caller's process; for an op-suite case, that process is a worker.
 """
 
 from __future__ import annotations
@@ -28,10 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from . import workers
 from .tensor import Tensor, backward, no_grad
 
 STEP = 1e-5
 TOLERANCE = 1e-4
+# the most coordinates of one tensor that one work unit of check_gradients
+# differences; a large tensor (the attention module's 1152-element fusion
+# kernel, say) is split so that it does not keep one worker busy alone
+UNIT_COORDS = 32
 
 
 @dataclass
@@ -84,11 +102,11 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
     tensor, directly or through an earlier such call, and lead to the loss.
     A replayed call reruns on its recorded arguments and rebinds its
     recorded output's ``data``, which the calls after it read; the recorded
-    ``data`` return after the tensor's guard and differences, also when one
+    ``data`` return after each unit's guard and differences, also when one
     raises, so the caller's loss keeps its recorded value. Before a tensor's
-    differences, a guard moves all its elements at once, each by its own
-    step in [-STEP, STEP], and evaluates one replay and one full
-    ``build_loss()`` there. Unless the two match bit for bit (they differ
+    first differences in a process, a guard moves all its elements at once,
+    each by its own step in [-STEP, STEP], and evaluates one replay and one
+    full ``build_loss()`` there. Unless the two match bit for bit (they differ
     when the loss reads the tensor's data outside the recorded ops, through
     a ``.data`` read or an op that is not recorded, whichever elements that
     read touches), the tensor falls back to one ``build_loss()`` per
@@ -100,6 +118,23 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
     under the guard's step. Batch norm in training mode updates its running
     statistics only in the calls that run, so a check makes fewer updates
     than full evaluation would; no check reads them.
+
+    The recorded loss, the backward and the draw of every tensor's sampled
+    coordinates, in tensor order, happen in the caller's process, so ``rng``
+    is consumed as by a serial check. The differences are split into units
+    of at most ``UNIT_COORDS`` coordinates of one tensor, mapped over
+    ``workers.map_in_workers``; each unit returns its numeric derivatives,
+    and the relative error of each tensor is taken here over all of them.
+    Each process guards a tensor once, before its first unit of that
+    tensor, and the guard's outcome does not depend on the unit. So the
+    result is the same bytes at any worker count. After the recorded loss,
+    ``build_loss`` and the replayed ops run in the workers; they run in
+    this process only with one CPU (``taskset -c 0``) or one unit, or inside
+    a worker (an op-suite case). A unit's exception is re-raised with its
+    type and message, the first failing unit's in tensor and coordinate
+    order; a worker that dies raises ``ChildProcessError`` naming the tensor
+    and its coordinate range, ``w_r [32:64]`` say (positions in the
+    tensor's checked coordinates).
     """
     for name, t in tensors.items():
         if t.dtype != np.float64:
@@ -112,41 +147,59 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
         loss = build_loss()
     backward(loss)
 
+    names, ts = list(tensors), list(tensors.values())
+    analytic, coords = [], []
+    for t in ts:
+        analytic.append((t.grad.data if t.grad is not None
+                         else np.zeros(t.shape, dtype=np.float64)).reshape(-1))
+        if sample is not None and sample < t.size:
+            coords.append(rng.choice(t.size, size=sample, replace=False))
+        else:
+            coords.append(np.arange(t.size))
+    units = [(k, start, min(start + UNIT_COORDS, c.size))
+             for k, c in enumerate(coords) for start in range(0, c.size, UNIT_COORDS)]
+    # tensor index -> its replay plan and chosen evaluation; each process
+    # fills its own copy, so a tensor is guarded once per process
+    chosen = {}
+
     def full():
         return build_loss().item()
 
-    worst = 0.0
-    with no_grad():
-        for t in tensors.values():
-            analytic = (t.grad.data if t.grad is not None
-                        else np.zeros(t.shape, dtype=np.float64))
-            flat = t.data.reshape(-1)
-            if sample is not None and sample < flat.size:
-                coords = rng.choice(flat.size, size=sample, replace=False)
-            else:
-                coords = np.arange(flat.size)
-            plan = _replay_plan(tape, t, loss)
-            recorded = [(out, out.data) for *_, out in plan]
-            try:
-                # a plan of every taped call would rerun the whole loss; an
-                # empty one means the loss is not a taped output or t does
-                # not reach it through the ops
-                evaluate = full
-                if 0 < len(plan) < len(tape):
-                    evaluate = functools.partial(_replay, plan)
-                    if not _replay_is_full(flat, evaluate, full):
-                        evaluate = full
-                numeric = np.empty(coords.size, dtype=np.float64)
-                for out_idx, i in enumerate(coords):
-                    plus, minus = _difference(flat, i, evaluate)
+    def run_unit(unit) -> np.ndarray:
+        k, start, stop = unit
+        flat = ts[k].data.reshape(-1)
+        plan = chosen[k][0] if k in chosen else _replay_plan(tape, ts[k], loss)
+        recorded = [(out, out.data) for *_, out in plan]
+        try:
+            with no_grad():
+                if k not in chosen:
+                    # a plan of every taped call would rerun the whole loss;
+                    # an empty one means the loss is not a taped output or
+                    # the tensor does not reach it through the ops
+                    evaluate = full
+                    if 0 < len(plan) < len(tape):
+                        evaluate = functools.partial(_replay, plan)
+                        if not _replay_is_full(flat, evaluate, full):
+                            evaluate = full
+                    chosen[k] = plan, evaluate
+                numeric = np.empty(stop - start, dtype=np.float64)
+                for out_idx, i in enumerate(coords[k][start:stop]):
+                    plus, minus = _difference(flat, i, chosen[k][1])
                     numeric[out_idx] = (plus - minus) / (2.0 * STEP)
-            finally:
-                # replays rebind these; the next tensor's plan and the
-                # caller's loss read them as recorded
-                for out, data in recorded:
-                    out.data = data
-            worst = max(worst, relative_error(analytic.reshape(-1)[coords], numeric,
-                                              abs_floor=abs_floor))
+        finally:
+            # replays rebind these; the next unit's plan and the caller's
+            # loss read them as recorded
+            for out, data in recorded:
+                out.data = data
+        return numeric
+
+    numerics = [np.empty(c.size, dtype=np.float64) for c in coords]
+    for (k, start, stop), numeric in zip(units, workers.map_in_workers(
+            run_unit, units, [f"{names[k]} [{start}:{stop}]" for k, start, stop in units])):
+        numerics[k][start:stop] = numeric
+    worst = 0.0
+    for a, c, numeric in zip(analytic, coords, numerics):
+        worst = max(worst, relative_error(a[c], numeric, abs_floor=abs_floor))
     return worst
 
 
@@ -357,13 +410,23 @@ def _op_cases(rng: np.random.Generator):
 
 
 def run_op_suite(seeds=range(20)) -> list[GradCheckResult]:
-    """Check every engine op against central differences across ``seeds``."""
+    """Check every engine op against central differences across ``seeds``.
+
+    Every seed's cases are built here; each (seed, case) check is one unit
+    of ``workers.map_in_workers`` and runs ``check_gradients`` through the
+    module attribute, in-process inside its worker. A case's worst error is
+    the max over seeds, and the results keep the first seed's case order. A
+    worker that dies raises ``ChildProcessError`` naming the case and its
+    seed (``softmax seed 3``).
+    """
+    cases = [(seed, *case) for seed in seeds
+             for case in _op_cases(np.random.default_rng(seed))]
+    # through the module attribute, so a wrapped check is the one that runs
+    errors = workers.map_in_workers(lambda case: check_gradients(case[3], case[2]), cases,
+                                    [f"{name} seed {seed}" for seed, name, *_ in cases])
     worst: dict[str, float] = {}
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        for name, tensors, fn in _op_cases(rng):
-            err = check_gradients(fn, tensors)
-            worst[name] = max(worst.get(name, 0.0), err)
+    for (_, name, *_), err in zip(cases, errors):
+        worst[name] = max(worst.get(name, 0.0), err)
     return [GradCheckResult(name, err) for name, err in worst.items()]
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tamseg.attention import FeatureStack, attention_logits, softmax, tam_forward
+from tamseg.attention import FeatureStack, softmax, tam_forward
 from tamseg.cli import main
 from tamseg.costs import configuration_report
 from tamseg.experiments import ExperimentConfig, evaluate, make_dataset, train
@@ -22,7 +22,7 @@ from tamseg.metrics import SegmentationMask, dsc, hausdorff, masd
 from tamseg.tensor import Tensor, count_macs
 from tamseg.unet import CONFIGURATIONS, BackboneConfig, build_model
 
-from test_attention import make_params, tam_oracle
+from test_attention import attention_logits, make_params, tam_oracle
 from test_metrics import random_mask, surface_metrics_oracle
 
 

@@ -12,12 +12,24 @@ import numpy as np
 import pytest
 
 from tamseg.attention import (MAX_POSITIONS, FeatureStack, TamConfig,
-                              TamParams, attention_logits, gate_and_fuse,
+                              TamParams, gate_and_fuse,
                               head_attention, head_blocks, pair_attention,
                               project_qkv, tam_forward)
 from tamseg.errors import ShapeError, ValidationError
 from tamseg.tensor import (Tensor, backward, concat, conv_nd, matmul, mul,
                            reshape, scale, slice_axis, softmax, transpose, tsum)
+
+
+def attention_logits(q: Tensor, k: Tensor) -> Tensor:
+    """Scaled dot-product logits between all query and key positions.
+
+    ``q`` and ``k`` are single-head (width, N) maps; entry (p, r) is the
+    match between query position p and key position r, scaled by
+    1/sqrt(width).
+    """
+    if q.shape[0] != k.shape[0]:
+        raise ShapeError(f"query width {q.shape[0]} != key width {k.shape[0]}")
+    return scale(matmul(transpose(q), k), 1.0 / math.sqrt(k.shape[0]))
 
 
 def tam_oracle(frames, p, heads):

@@ -8,6 +8,7 @@ import pytest
 
 from tamseg import gradcheck
 from tamseg import tensor as T
+from tamseg.cli import main
 from tamseg.errors import ShapeError
 from tamseg.gradcheck import (STEP, check_gradients, relative_error, run_end2end_suite,
                               run_op_suite, run_tam_suite)
@@ -259,8 +260,10 @@ def against_oracle(monkeypatch):
 
     Returns the list of compared checks: each holds the tensors, the number
     of ``build_loss()`` calls the replaying check made, and the worst error
-    and numeric derivatives of both routes.
+    and numeric derivatives of both routes. The spies append in the process
+    that calls them, so checks run on one worker, in this process.
     """
+    monkeypatch.setattr("tamseg.workers.cpu_count", lambda: 1)
     checks, numerics = [], []
     replaying, measure = gradcheck.check_gradients, gradcheck.relative_error
 
@@ -404,3 +407,23 @@ class TestModuleSuite:
     def test_attention_module_end_to_end(self):
         results = run_tam_suite(seeds=range(1))
         assert all(r.passed for r in results)
+
+
+class TestGradcheckWorkers:
+    """Checks in worker processes give what one worker, in this process, gives."""
+
+    @pytest.mark.parametrize("suite", [run_op_suite, run_tam_suite, run_end2end_suite])
+    def test_same_errors_at_any_worker_count(self, monkeypatch, suite):
+        errors = {}
+        for count in (1, 2, 3):
+            monkeypatch.setattr("tamseg.workers.cpu_count", lambda: count)
+            errors[count] = [(r.name, r.max_rel_error.hex()) for r in suite(seeds=[0])]
+        assert errors[1] and errors[2] == errors[1] and errors[3] == errors[1]
+
+    def test_cli_output_same_at_one_and_two_workers(self, monkeypatch, capsys):
+        outs = []
+        for count in (1, 2):
+            monkeypatch.setattr("tamseg.workers.cpu_count", lambda: count)
+            assert main(["gradcheck", "--scope", "tam"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].endswith("all 3 checks passed\n")

@@ -4,15 +4,18 @@ import os
 import re
 import shlex
 import signal
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tamseg import cli, experiments, metrics
+from tamseg import cli, gradcheck, metrics
+from tamseg import tensor as T
 from tamseg.cli import main
 from tamseg.errors import ValidationError
 from tamseg.experiments import ExperimentConfig
+from tamseg.tensor import Tensor
 from tamseg.tnsr import (read_array, read_bundle, read_json, write_array, write_bundle,
                          write_json)
 
@@ -185,7 +188,7 @@ class TestTrainEval:
             return scored(report, case, *args)
 
         monkeypatch.setattr(metrics.MetricReport, "add_case", add_case)
-        monkeypatch.setattr(experiments, "_cpu_count", lambda: workers)
+        monkeypatch.setattr("tamseg.workers.cpu_count", lambda: workers)
         capsys.readouterr()
         code = run("eval", "--oracle", "--dataset", str(ds), "--out", str(tmp_path / "eval"))
         assert (code, capsys.readouterr().err) == expected
@@ -347,6 +350,77 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "checks passed" not in captured.out
         assert captured.err.startswith("error: ")
+
+
+def failing_suite(fail):
+    """A gradcheck suite of one 96-coordinate check, three units of 32.
+
+    Every difference evaluates the loss in full (no guard), and the loss
+    calls ``fail`` with the first coordinate that differs from its start, so
+    only the units holding a coordinate that ``fail`` rejects fail.
+    """
+    def suite(seeds=None):
+        x = Tensor(np.linspace(-1.0, 1.0, 96), requires_grad=True)
+        base = x.data.copy()
+
+        def build_loss():
+            moved = np.flatnonzero(x.data != base)
+            if moved.size:
+                fail(int(moved[0]))
+            return T.tsum(x * x)
+
+        return [gradcheck.GradCheckResult("x", gradcheck.check_gradients(build_loss,
+                                                                          {"x": x}))]
+    return suite
+
+
+class TestGradcheckFailures:
+    """A failing or dying work unit of ``tamseg gradcheck``, at its exit code."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_failing_unit_exit_1(self, capsys, monkeypatch, workers):
+        def fail(i):
+            if i >= 32:  # units [32:64] and [64:96]; the later one fails first
+                if i < 64:
+                    time.sleep(0.2)
+                raise ValidationError(f"coordinate {i} moved")
+
+        monkeypatch.setitem(gradcheck.SUITES, "tam", failing_suite(fail))
+        monkeypatch.setattr("tamseg.workers.cpu_count", lambda: workers)
+        capsys.readouterr()
+        assert run("gradcheck", "--scope", "tam") == 1
+        assert capsys.readouterr() == ("", "error: coordinate 32 moved\n")
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_dead_worker_names_the_coordinate_range_exit_2(self, capsys, monkeypatch,
+                                                          workers):
+        parent = os.getpid()
+
+        def fail(i):
+            if 32 <= i < 64 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setitem(gradcheck.SUITES, "tam", failing_suite(fail))
+        monkeypatch.setattr("tamseg.workers.cpu_count", lambda: workers)
+        capsys.readouterr()
+        assert run("gradcheck", "--scope", "tam") == 2
+        assert capsys.readouterr() == (
+            "", "i/o failure: x [32:64]: worker process died (exit code -9)\n")
+
+    def test_dead_worker_names_the_op_case_and_seed_exit_2(self, capsys, monkeypatch):
+        parent, softmax = os.getpid(), T.softmax
+
+        def dying_softmax(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return softmax(*args, **kwargs)
+
+        monkeypatch.setattr(T, "softmax", dying_softmax)
+        monkeypatch.setattr("tamseg.workers.cpu_count", lambda: 2)
+        capsys.readouterr()
+        assert run("gradcheck", "--scope", "ops", "--seeds", "2") == 2
+        assert capsys.readouterr() == (
+            "", "i/o failure: softmax seed 0: worker process died (exit code -9)\n")
 
 
 class TestCostCommand:
