@@ -197,10 +197,9 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
     for (k, start, stop), numeric in zip(units, workers.map_in_workers(
             run_unit, units, [f"{names[k]} [{start}:{stop}]" for k, start, stop in units])):
         numerics[k][start:stop] = numeric
-    worst = 0.0
-    for a, c, numeric in zip(analytic, coords, numerics):
-        worst = max(worst, relative_error(a[c], numeric, abs_floor=abs_floor))
-    return worst
+    # np.max keeps a NaN error, which Python's max would drop
+    return float(np.max([relative_error(a[c], numeric, abs_floor=abs_floor)
+                         for a, c, numeric in zip(analytic, coords, numerics)], initial=0.0))
 
 
 def _difference(flat: np.ndarray, i, evaluate) -> tuple[float, float]:
@@ -426,7 +425,8 @@ def run_op_suite(seeds=range(20)) -> list[GradCheckResult]:
                                     [f"{name} seed {seed}" for seed, name, *_ in cases])
     worst: dict[str, float] = {}
     for (_, name, *_), err in zip(cases, errors):
-        worst[name] = max(worst.get(name, 0.0), err)
+        # np.maximum keeps a NaN error, which Python's max would drop
+        worst[name] = float(np.maximum(worst.get(name, 0.0), err))
     return [GradCheckResult(name, err) for name, err in worst.items()]
 
 

@@ -206,21 +206,23 @@ def backward(loss: Tensor) -> None:
         loss.grad = Tensor(np.zeros_like(loss.data))
     loss.grad.data += np.ones_like(loss.data)
     # iterative depth-first topological order (parents before children), so
-    # graphs deeper than the recursion limit work
+    # graphs deeper than the recursion limit work. Only nodes with a closure
+    # are pushed: a leaf runs none, and it would be appended right after its
+    # own push, so leaving leaves out keeps the order of the closures
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()  # Tensor hashes by identity
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p._backward is not None and p not in seen:
                 stack.append((p, False))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
@@ -649,17 +651,27 @@ class _ConvPlan(NamedTuple):
     src_shape: tuple[int, ...]
     win_strides: dict[int, tuple[int, ...]]
     col_rows: int                    # C_in * kh * kw
+    dx_shape: tuple[int, int]        # (C_in, L * rows * width): the input gradient, flat
     # (column-source index, ((dl, output index, first, dk_first), ...),
-    # column-gradient shape) per input plane and row block, planes outer: the
-    # index gathers the plane's in-plane columns, and each pair names a kernel
-    # offset dl along L and the output block it feeds; ``first`` marks the
-    # pair that writes that block first, which every output block has, and
-    # ``dk_first`` the pair that writes kernel plane dl's gradient first
-    tiles: tuple[tuple[tuple, tuple[tuple[int, tuple, bool, bool], ...], tuple[int, ...]], ...]
+    # column-gradient shape, scatter) per input plane and row block, planes
+    # outer: the index gathers the plane's in-plane columns, and each pair
+    # names a kernel offset dl along L and the output block it feeds;
+    # ``first`` marks the pair that writes that block first, which every
+    # output block has, and ``dk_first`` the pair that writes kernel plane
+    # dl's gradient first. The scatter holds one (o, lo, hi, shift) add per
+    # in-plane kernel offset o = (i, j), in ``np.ndindex`` order: columns
+    # lo:hi of the offset's rows o::kh*kw of the (C_in * kh * kw, tile)
+    # column gradient go into ``dx_shape`` at lo + shift:hi + shift, where
+    # the shift is the plane's start plus (r0 + i - ph) * width + (j - pw),
+    # and the tile's rows that fall outside the plane are clipped
+    tiles: tuple[tuple[tuple, tuple[tuple[int, tuple, bool, bool], ...], tuple[int, ...],
+                       tuple[tuple[int, int, int, int], ...]], ...]
     unfed: tuple[int, ...]           # kernel offsets dl along L that no pair feeds
-    # column-gradient indices, one per in-plane kernel offset (kh * kw
-    # strided adds per tile)
-    offsets: tuple[tuple, ...]
+    # (j, first, stop) per in-plane kernel column j: the columns of the
+    # (C_in, kh, kw, tile rows, width) column gradient whose taps fall in the
+    # column padding, which a shift would wrap into the neighbouring row;
+    # zeroed before the scatter, so a wrapped tap adds +0.0
+    pad_taps: tuple[tuple[int, int, int], ...]
     bias_shape: tuple[int, ...]      # (C_out, 1, ...), broadcast over the output
     spatial_axes: tuple[int, ...]
     macs: int
@@ -702,6 +714,7 @@ def _conv_plan(x_shape, k_shape, b_shape) -> _ConvPlan:
     block = max(1, CONV_TILE_ELEMS // (col_rows * width))
     # output plane t reads input plane t + dl - lead_pad at kernel offset dl
     lead_pad = (kl - 1) // 2
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
     tiles = []
     written = set()
     fed = set()
@@ -717,12 +730,27 @@ def _conv_plan(x_shape, k_shape, b_shape) -> _ConvPlan:
                                   dl not in fed))
                     written.add((t, r0))
                     fed.add(dl)
-            if pointwise:
-                tiles.append(((slice(None), src, cols), tuple(pairs),
-                              (c_in, (r1 - r0) * width)))
-            else:
-                tiles.append(((slice(None),) * 3 + (src, slice(r0, r1)), tuple(pairs),
-                              (c_in, kh, kw, r1 - r0, width)))
+            scatter = []
+            for o, (i, j) in enumerate(np.ndindex(kh, kw)):
+                # tile rows r whose input row r0 + r + i - ph is in the plane
+                lo = max(0, ph - i - r0) * width
+                hi = min(r1 - r0, rows + ph - i - r0) * width
+                shift = (r0 + i - ph) * width + (j - pw)
+                # a tap shifted before the plane's start or past its end is
+                # a zeroed column-padding tap, dropped
+                lo = max(lo, -shift)
+                hi = min(hi, rows * width - shift)
+                if lo < hi:
+                    scatter.append((o, lo, hi, src * rows * width + shift))
+            idx = ((slice(None), src, cols) if pointwise
+                   else (slice(None),) * 3 + (src, slice(r0, r1)))
+            tiles.append((idx, tuple(pairs), (c_in, kh, kw, r1 - r0, width), tuple(scatter)))
+    # column w of offset j reads input column w + j - pw: the taps before
+    # column 0 and from column width on are padding (all of them for a
+    # kernel more than twice as wide as the input)
+    pad_taps = tuple((j, first, stop) for j in range(kw)
+                     for first, stop in ((0, pw - j), (max(0, width + pw - j), width))
+                     if first < stop)
     return _ConvPlan(
         out_shape=(c_out, *spatial),
         out_planes=(c_out, planes, rows * width),
@@ -734,10 +762,10 @@ def _conv_plan(x_shape, k_shape, b_shape) -> _ConvPlan:
                    else (c_in, kh, kw, planes, rows, width)),
         win_strides={d.itemsize: tuple(s * d.itemsize for s in steps) for d in _FLOAT_DTYPES},
         col_rows=col_rows,
+        dx_shape=(c_in, planes * rows * width),
         tiles=tuple(tiles),
         unfed=tuple(dl for dl in range(kl) if dl not in fed),
-        offsets=(((Ellipsis,),) if pointwise
-                 else tuple((slice(None),) + off for off in np.ndindex(kh, kw))),
+        pad_taps=pad_taps,
         bias_shape=(c_out,) + (1,) * rank,
         spatial_axes=tuple(range(1, rank + 1)),
         macs=col_rows * kl * c_out * math.prod(spatial))
@@ -788,9 +816,13 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     backward walks the same tiles and recomputes their columns from the
     padded input: ``dW_dl (+)= g_t @ cols.T``, where the first product into
     kernel plane dl writes it and a plane no pair feeds is zero, and
-    ``dcols = sum W_dl.T @ g_t`` is scattered into the padded input
-    gradient's plane (col2im) with one strided add per in-plane kernel
-    offset.
+    ``dcols = sum W_dl.T @ g_t`` is scattered into the unpadded input
+    gradient's plane (col2im) by whole-row shifts: the block of in-plane
+    kernel offset (i, j) goes in as one add at flat shift
+    ``(r0 + i - ph) * width + (j - pw)``, its rows outside the plane clipped
+    and its taps in the column padding zeroed first, so a tap that wraps
+    into the next row adds +0.0. Each input-gradient element gets the adds
+    it would get in a padded buffer, in the same tile-then-offset order.
 
     The MAC count is that of the full correlation, padded taps included
     (C_in * prod(k) * C_out per output position), as the cost table states
@@ -816,7 +848,7 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         w = kernel.data.reshape(plan.kernel_split).transpose(2, 0, 1, 3).reshape(plan.w_shape)
 
     out_data = np.empty(plan.out_planes, dtype=x.dtype)
-    for idx, pairs, _ in plan.tiles:
+    for idx, pairs, *_ in plan.tiles:
         cols = src[idx].reshape(col_rows, -1)
         for dl, out_idx, first, _ in pairs:
             if first:
@@ -839,9 +871,9 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
             if plan.unfed:
                 dk[list(plan.unfed)] = 0
         if x.requires_grad:
-            dx_pad = np.zeros(x_pad.shape, x_pad.dtype)
-            d_src = _columns(dx_pad, plan)
-        for idx, pairs, d_shape in plan.tiles:
+            dx = np.zeros(plan.dx_shape, x.dtype)
+            taps = kernel.shape[-2] * kernel.shape[-1]
+        for idx, pairs, d_shape, scatter in plan.tiles:
             if dk is not None:
                 cols_t = src[idx].reshape(col_rows, -1).T
                 for dl, out_idx, _, dk_first in pairs:
@@ -858,17 +890,19 @@ def conv_nd(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
                 d_cols = w[dl].T @ g_planes[out_idx]
                 for dl, out_idx, *_ in pairs[1:]:
                     d_cols += w[dl].T @ g_planes[out_idx]
-                d_cols = d_cols.reshape(d_shape)
-                d_win = d_src[idx]
-                for off in plan.offsets:
-                    d_win[off] += d_cols[off]
+                d_taps = d_cols.reshape(d_shape)
+                for j, first, stop in plan.pad_taps:
+                    d_taps[:, :, j, :, first:stop] = 0
+                for o, lo, hi, shift in scatter:
+                    d_block = dx[:, lo + shift:hi + shift]
+                    d_block += d_cols[o::taps, lo:hi]
         if dk is not None:
             if plan.kernel_split is not None:  # back from one matrix per dl
                 c_out, c_in, kl, _ = plan.kernel_split
                 dk = dk.reshape(kl, c_out, c_in, -1).transpose(1, 2, 0, 3)
             _accum(kernel, dk.reshape(kernel.shape))
         if x.requires_grad:
-            _accum_fresh(x, np.ascontiguousarray(dx_pad[plan.crop]))
+            _accum_fresh(x, dx.reshape(x.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=plan.spatial_axes))
 
@@ -1017,10 +1051,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     bshape = (c,) + (1,) * (x.ndim - 1)
 
     if training:
-        mu = x.data.mean(axis=axes)
+        # the steps numpy's mean and sum take, without their Python wrappers:
+        # the sum divided in place by the item count, an intp
+        count = np.intp(math.prod(x.shape[1:]))
+        mu = np.add.reduce(x.data, axes)
+        mu = np.true_divide(mu, count, out=mu, casting="unsafe")
         centered = x.data - mu.reshape(bshape)
         # the steps of numpy's var, reusing the mean and the centered input
-        var = (centered * centered).sum(axis=axes) / math.prod(x.shape[1:])
+        var = np.add.reduce(centered * centered, axes) / math.prod(x.shape[1:])
         state.running_mean = ((1 - BN_MOMENTUM) * state.running_mean
                               + BN_MOMENTUM * mu).astype(state.running_mean.dtype, copy=False)
         state.running_var = ((1 - BN_MOMENTUM) * state.running_var
@@ -1052,7 +1090,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
             if training:
                 # the means as numpy's mean takes them: each sum divided in
                 # place by the item count, an intp
-                count = np.intp(math.prod(x.shape[1:]))
                 g_mean = np.true_divide(g_sum, count, out=g_sum, casting="unsafe")
                 gx_mean = np.true_divide(gx_sum, count, out=gx_sum, casting="unsafe")
                 # gs * (g - g_mean - x_hat * gx_mean), with gx's buffer reused

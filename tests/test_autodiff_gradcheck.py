@@ -10,8 +10,8 @@ from tamseg import gradcheck
 from tamseg import tensor as T
 from tamseg.cli import main
 from tamseg.errors import ShapeError
-from tamseg.gradcheck import (STEP, check_gradients, relative_error, run_end2end_suite,
-                              run_op_suite, run_tam_suite)
+from tamseg.gradcheck import (STEP, GradCheckResult, check_gradients, relative_error,
+                              run_end2end_suite, run_op_suite, run_tam_suite)
 from tamseg.tensor import Tensor, backward
 
 
@@ -65,6 +65,90 @@ class TestBackwardBasics:
         np.testing.assert_allclose(x.grad.data, [1.0])
 
 
+def reference_order(loss):
+    """The sweep's depth-first sort that visits every node, leaves included.
+
+    Parents before children, nodes told apart by ``id()``; ``backward`` pins
+    its closure calls to the closure nodes of this order, reversed.
+    """
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
+
+
+def reference_backward(loss):
+    """``backward`` over :func:`reference_order`: each closure whose node has a grad."""
+    loss.grad = Tensor(np.ones_like(loss.data))
+    for node in reversed(reference_order(loss)):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad.data)
+            node._backward = None
+            node._parents = ()
+
+
+def closure_calls(loss, sweep, leaves):
+    """The closures ``sweep(loss)`` calls, as positions in the reference
+    order, and the bytes of the ``leaves``' gradients it leaves."""
+    for leaf in leaves:
+        leaf.grad = None
+    calls = []
+    for k, node in enumerate(reference_order(loss)):
+        if node._backward is not None:
+            def spy(g, k=k, back=node._backward):
+                calls.append(k)
+                back(g)
+            node._backward = spy
+    sweep(loss)
+    return calls, [leaf.grad.data.tobytes() for leaf in leaves]
+
+
+class TestSweepOrder:
+    """``backward`` calls the closures the reference sort orders, in its order."""
+
+    def _assert_same_sweep(self, build_loss, leaves):
+        ref_calls, ref_grads = closure_calls(build_loss(), reference_backward, leaves)
+        calls, grads = closure_calls(build_loss(), backward, leaves)
+        assert ref_calls and calls == ref_calls
+        assert grads == ref_grads
+
+    def test_c4_training_graph_reading_frames_0_and_2(self):
+        from tamseg.losses import dice_ce_loss, one_hot
+        from tamseg.unet import BackboneConfig, build_model
+
+        rng = np.random.default_rng(7)
+        base = BackboneConfig(levels=5, channels=(4, 4, 8, 8, 8), heads=2)
+        model = build_model("C4", base, rng)
+        frames = [Tensor(rng.normal(size=(1, 16, 16)).astype(np.float32)) for _ in range(3)]
+        truth = one_hot(rng.integers(0, 3, size=(16, 16)), 3)
+
+        def build_loss():
+            probs = model.forward(frames, training=True)
+            return dice_ce_loss(probs[0], truth) + dice_ce_loss(probs[2], truth)
+
+        self._assert_same_sweep(build_loss, list(model.named_parameters().values()))
+
+    def test_one_leaf_feeding_several_ops(self):
+        x = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+        w = Tensor(np.array([1.0, 2.0, -3.0]), requires_grad=True)
+
+        def build_loss():
+            y = T.sigmoid(x) * x + T.relu(x) * w
+            return T.tsum(T.concat([y, x * x, T.scale(x, 3.0)], axis=0)) + T.tsum(w * y)
+
+        self._assert_same_sweep(build_loss, [x, w])
+
+
 class TestRelativeError:
     def test_zero_against_zero(self):
         assert relative_error(np.zeros(3), np.zeros(3)) == 0.0
@@ -109,6 +193,12 @@ class TestCheckGradients:
 
         err = check_gradients(lambda: T.tsum(bad_square(x)), {"x": x})
         assert err > 0.1
+
+    def test_nan_gradient_fails(self):
+        x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        err = check_gradients(lambda: T.tsum(nan_grad(x)), {"x": x})
+        assert np.isnan(err)
+        assert not GradCheckResult("x", err).passed
 
     def test_float32_rejected(self):
         # refused before any evaluation, even behind a valid float64 tensor
@@ -401,6 +491,39 @@ class TestOpSuite:
     def test_reported_errors_are_small(self):
         worst = max(r.max_rel_error for r in run_op_suite(seeds=range(3)))
         assert worst < 1e-6
+
+
+def nan_grad(a):
+    """The identity, with a backward that writes ``np.nan * g``."""
+    def back(g):
+        T._accum(a, np.nan * g)
+    return T._result(a.data.copy(), (a,), back, "nan_grad")
+
+
+def nan_op_cases(rng):
+    """An op-suite case list: one sound case and one whose gradient is NaN."""
+    x, y = (Tensor(rng.normal(size=3), requires_grad=True) for _ in range(2))
+    return [("square", {"x": x}, lambda: T.tsum(x * x)),
+            ("nan_grad", {"x": y}, lambda: T.tsum(nan_grad(y)))]
+
+
+class TestNanGradient:
+    """A NaN gradient fails the op suite's per-name maximum and the command."""
+
+    def test_op_suite_keeps_nan(self, monkeypatch):
+        monkeypatch.setattr(gradcheck, "_op_cases", nan_op_cases)
+        results = {r.name: r for r in run_op_suite(seeds=range(2))}
+        assert results["square"].passed
+        assert np.isnan(results["nan_grad"].max_rel_error)
+        assert not results["nan_grad"].passed
+
+    def test_cli_reports_failing_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(gradcheck, "_op_cases", nan_op_cases)
+        capsys.readouterr()
+        assert main(["gradcheck", "--scope", "ops", "--seeds", "2"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL nan_grad" in out and "ok   square" in out
+        assert out.endswith("1 of 2 checks failed\n")
 
 
 class TestModuleSuite:

@@ -384,6 +384,9 @@ class TestConvMatchesIm2colOracle:
         ((8, 3, 31, 64), (6, 8, 1, 2, 4)),
         ((64, 70, 64), (8, 64, 1, 1)),
         ((128, 3, 70, 32), (8, 128, 1, 1, 1)),
+        ((256, 2, 2), (128, 256, 3, 3)),  # deep single-tile convs
+        ((128, 4, 4), (64, 128, 3, 3)),
+        ((3, 2, 2), (4, 3, 5, 7)),  # a kernel more than twice as wide as its input
     ])
     def test_one_leading_offset_is_byte_equal(self, x_shape, w_shape, dtype):
         # 2D, kl = 1 and pointwise kernels make the same GEMMs in the same order
