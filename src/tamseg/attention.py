@@ -252,6 +252,14 @@ def gate_and_fuse(f_i: Tensor, a_multi: Tensor, params: TamParams,
                            params.bn_state, training))
 
 
+def check_positions(spatial, error) -> None:
+    """Raise ``error`` if a ``spatial`` grid has more than ``MAX_POSITIONS``."""
+    n = math.prod(spatial)
+    if n > MAX_POSITIONS:
+        raise error(f"attention over {n} positions exceeds the {MAX_POSITIONS} "
+                    "guard; insert the module at a coarser layer")
+
+
 def tam_forward(stack: FeatureStack, params: TamParams,
                 training: bool = False) -> FeatureStack:
     """Refine every frame of ``stack`` with cross-time attention.
@@ -267,11 +275,7 @@ def tam_forward(stack: FeatureStack, params: TamParams,
     if len(spatial) != cfg.spatial_rank:
         raise ShapeError(f"stack has spatial rank {len(spatial)}, "
                          f"config expects {cfg.spatial_rank}")
-    n = math.prod(spatial)
-    if n > MAX_POSITIONS:
-        raise ValidationError(
-            f"attention over {n} positions exceeds the {MAX_POSITIONS} guard; "
-            "insert the module at a coarser layer")
+    check_positions(spatial, ValidationError)
 
     # each frame's heads are cut once and shared by its T-1 pairs
     heads = []

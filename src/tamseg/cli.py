@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -208,7 +209,9 @@ def cmd_gradcheck(args) -> int:
         kwargs["seeds"] = range(args.seeds)
     results = run_suite(args.scope, **kwargs)
     failed = [r for r in results if not r.passed]
-    for r in sorted(results, key=lambda r: -r.max_rel_error):
+    # NaN first: as a bare key it compares false both ways and lands anywhere
+    for r in sorted(results, key=lambda r: (not math.isnan(r.max_rel_error),
+                                            -r.max_rel_error)):
         status = "ok" if r.passed else "FAIL"
         print(f"{status:4} {r.name:<20} max rel err {r.max_rel_error:.3e} "
               f"(tol {TOLERANCE:g})")

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .attention import TamConfig
-from .errors import ValidationError
-from .unet import (BackboneConfig, check_extent, check_time_conv,
+from .unet import (BackboneConfig, check_extent, check_frames, check_time_conv,
                    resolve_configuration)
 
 
@@ -103,17 +102,11 @@ def attention_pair_macs(n: int, d_embed: int) -> int:
     return 2 * n * n * d_embed
 
 
-def _check_frames(t: int) -> None:
-    if t < 1:
-        raise ValidationError(f"cost needs T >= 1, got {t}")
-
-
 def tam_rows(cfg: TamConfig, spatial, t: int, prefix: str = "tam") -> list[CostRow]:
     """Cost rows for one attention module applied to a T-frame stack.
 
     At T=1 the pair count is zero, leaving only the projection overhead.
     """
-    _check_frames(t)
     n = math.prod(spatial)
     pairs = t * (t - 1)
     c, d = cfg.channels, cfg.d_embed
@@ -142,9 +135,9 @@ def backbone_rows(config: BackboneConfig, input_spatial, t: int,
 
     Per frame, every layer runs once on each of the ``t`` frames. With
     ``fold_time`` (the time-as-channel baseline) every layer runs once on one
-    volume whose leading axis is time.
+    volume whose leading axis is time. The model's own input checks run first.
     """
-    _check_frames(t)
+    check_frames(t)
     if fold_time:
         check_time_conv(config)
     check_extent(config, input_spatial)
@@ -201,17 +194,6 @@ def configuration_report(config_id: str, base: BackboneConfig, input_spatial,
     return CostReport(label, backbone_rows(cfg, input_spatial, t, cls.FOLD_TIME))
 
 
-def tam_vs_time_conv(t: int, levels: int) -> dict:
-    """Attention-vs-time-kernel break-even: attention is cheaper when
-    T^2 < levels * k^2 * (k - 1) under the leading-term proportionality,
-    with the backbone's kernel extent k = 3."""
-    k = 3
-    lhs = t * t
-    rhs = levels * k * k * (k - 1)
-    return {"t_squared": lhs, "conv_overhead_factor": rhs,
-            "attention_cheaper": lhs < rhs}
-
-
 def compare_architectures(config_ids: list[str], base: BackboneConfig,
                           input_spatial, t: int) -> str:
     """Side-by-side totals for several configurations, cheapest first."""
@@ -224,8 +206,4 @@ def compare_architectures(config_ids: list[str], base: BackboneConfig,
         rep = reports[i]
         buf.write(f"{config_ids[i]:<8} {rep.total_macs:>16} "
                   f"{rep.total_flops:>16} {rep.total_params:>12}\n")
-    be = tam_vs_time_conv(t, base.levels)
-    buf.write(f"\nattention vs time kernels at T={t}: T^2 = {be['t_squared']} "
-              f"vs L*k^2*(k-1) = {be['conv_overhead_factor']} -> "
-              f"{'attention cheaper' if be['attention_cheaper'] else 'time kernels cheaper'}\n")
     return buf.getvalue()

@@ -34,7 +34,7 @@ from .optim import Adam
 from .synth import QUALITY_TIERS, SequenceSpec, load_dataset, write_dataset
 from .tensor import Tensor, assert_finite, backward, no_grad
 from .tnsr import atomic_write_text, read_bundle, write_bundle, write_json
-from .unet import FRAME_COUNTS, BackboneConfig, build_model, lookup_configuration
+from .unet import BackboneConfig, build_model, check_frames, lookup_configuration
 
 # each ablation axis: the ExperimentConfig field it sets and the value's parser
 _AXIS_FIELDS = {"config": ("config_id", str), "heads": ("heads", int),
@@ -67,9 +67,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         lookup_configuration(self.config_id)
-        if self.frames not in FRAME_COUNTS:
-            raise ValidationError(f"frames must be in [{FRAME_COUNTS[0]}, "
-                                  f"{FRAME_COUNTS[-1]}], got {self.frames}")
+        check_frames(self.frames)
         if self.tier not in QUALITY_TIERS:
             raise ValidationError(f"unknown tier {self.tier!r}")
         if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
@@ -291,7 +289,7 @@ def evaluate(checkpoint, dataset: str, outdir, split: str = EVAL_SPLIT,
                 probs = model.forward(frames, training=False)
             for pos, idx in enumerate(indices):
                 if idx in sample.annotated:
-                    pred_labels = np.argmax(probs[pos].data, axis=0).astype(np.int64)
+                    pred_labels = np.argmax(probs[pos].data, axis=0)
                     preds[idx] = SegmentationMask(pred_labels,
                                                   sample.masks[idx].spacing)
         report = MetricReport()

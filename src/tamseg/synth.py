@@ -241,7 +241,7 @@ def load_dataset(root) -> dict[str, list[SequenceSample]]:
     images = iter(_read_payload(root / "frames.tnsr", shapes, np.float32))
     labels = iter(_read_payload(root / "masks.tnsr", shapes, np.uint8))
     return {split: [SequenceSample(spec, list(islice(images, spec.frames)),
-                                   [SegmentationMask(m.astype(np.int64), spec.spacing)
+                                   [SegmentationMask(m, spec.spacing)
                                     for m in islice(labels, spec.frames)], annotated)
                     for spec, annotated in cases]
             for split, cases in entries.items()}

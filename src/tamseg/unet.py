@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import (FeatureStack, ParameterSet, TamConfig, TamParams,
-                        _filled, _uniform, tam_forward)
+                        _filled, _uniform, check_positions, tam_forward)
 from .errors import ShapeError, ValidationError
 from .tensor import (BatchNormState, Tensor, batch_norm, concat, conv_nd,
                      max_pool, relu, reshape, slice_axis, softmax,
@@ -106,11 +106,19 @@ class _Block:
         return self.b(self.a(x, training), training)
 
 
+def check_frames(t: int) -> None:
+    """Raise unless the backbone takes ``t`` frames (``FRAME_COUNTS``)."""
+    if t not in FRAME_COUNTS:
+        raise ValidationError(f"the backbone takes {FRAME_COUNTS[0]} to "
+                              f"{FRAME_COUNTS[-1]} frames, got {t}")
+
+
 def check_extent(config: BackboneConfig, spatial, error=ValidationError) -> None:
     """Raise ``error`` unless a ``config`` model accepts frames of this extent.
 
     The frame check and the cost walk share it, so the cost table never
-    prices an input the model refuses. The frame count is not checked here.
+    prices an input the model refuses. Each hosted slot's grid passes the
+    attention position guard; the frame count is not checked here.
     """
     if len(spatial) != config.spatial_rank:
         raise error(f"input extent {tuple(spatial)} has {len(spatial)} axes, "
@@ -122,6 +130,9 @@ def check_extent(config: BackboneConfig, spatial, error=ValidationError) -> None
         if n % divisor:
             raise error(f"spatial extent {n} not divisible by {divisor} "
                         f"(needed for {config.levels} levels)")
+    for slot in sorted(config.insertion_set):
+        shift = int(slot[1:]) - 1  # slot level n sees the input halved n - 1 times
+        check_positions(tuple(n >> shift for n in spatial), error)
 
 
 def check_time_conv(config: BackboneConfig) -> None:
@@ -180,9 +191,7 @@ class _UNet(ParameterSet):
 
     def _validate_frames(self, frames: list[Tensor]) -> None:
         cfg = self.config
-        if len(frames) not in FRAME_COUNTS:
-            raise ValidationError(f"the backbone takes {FRAME_COUNTS[0]} to "
-                                  f"{FRAME_COUNTS[-1]} frames, got {len(frames)}")
+        check_frames(len(frames))
         shape = frames[0].shape
         for i, f in enumerate(frames):
             if f.ndim != cfg.spatial_rank + 1:

@@ -523,6 +523,7 @@ class TestNanGradient:
         assert main(["gradcheck", "--scope", "ops", "--seeds", "2"]) == 2
         out = capsys.readouterr().out
         assert "FAIL nan_grad" in out and "ok   square" in out
+        assert out.index("FAIL nan_grad") < out.index("ok   square")
         assert out.endswith("1 of 2 checks failed\n")
 
 

@@ -438,7 +438,7 @@ class TestCostCommand:
                    "--heads", "1", "--json", str(json_path))
         assert code == 0
         out = capsys.readouterr().out
-        assert "attention" in out  # break-even line
+        assert "tam.E5.attention" in out  # C3's attention row
         data = read_json(json_path)
         assert len(data["reports"]) == 3
         flops = {r["label"].split(" ")[0]: r["total_flops"]
@@ -455,8 +455,9 @@ class TestCostCommand:
         assert captured.err.startswith("error: ") and "non-positive" in captured.err
         assert captured.out == ""
 
-    def test_zero_frames_exit_1(self, capsys):
-        assert run("cost", "--configs", "C1", "--t", "0") == 1
+    @pytest.mark.parametrize("frames", ["0", "1", "6"])
+    def test_zero_frames_exit_1(self, capsys, frames):
+        assert run("cost", "--configs", "C1", "--t", frames) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "total" not in captured.out

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from tamseg.attention import TamConfig, TamParams
+from tamseg.attention import MAX_POSITIONS, TamConfig, TamParams
+from tamseg.cli import main
 from tamseg.costs import (CostRow, attention_pair_macs,
                           compare_architectures, configuration_report,
-                          conv_cost, tam_rows, tam_vs_time_conv)
+                          conv_cost, tam_rows)
 from tamseg.errors import ShapeError, ValidationError
 from tamseg.tensor import Tensor, count_macs
-from tamseg.unet import BackboneConfig, build_model
+from tamseg.unet import CONFIGURATIONS, BackboneConfig, build_model
 
 DESK = BackboneConfig(channels=(16, 32, 64, 128, 256))
 DESK_INPUT = (64, 64)
@@ -67,8 +68,6 @@ class TestAttentionCost:
 
     def test_degenerate_single_frame(self):
         assert attention_row(8, 16, 1, 1) == 0
-        with pytest.raises(ValidationError):
-            attention_row(8, 16, 1, 0)
 
 
 class TestTamRows:
@@ -151,7 +150,7 @@ class TestReportStructure:
         base = BackboneConfig(levels=3, channels=(4, 8, 16))
         for cid in ("C1", "C2"):
             with pytest.raises(ValidationError, match="divisible by 4"):
-                configuration_report(cid, base, (16, 18), 1)
+                configuration_report(cid, base, (16, 18), 2)
 
 
 class TestOrderings:
@@ -167,22 +166,16 @@ class TestOrderings:
                  for cid in ("C1", "C2", "C3")}
         assert flops["C1"] < flops["C3"] < flops["C2"]
 
-    def test_break_even_inequality(self):
-        be = tam_vs_time_conv(2, 5)
-        assert be == {"t_squared": 4, "conv_overhead_factor": 90,
-                      "attention_cheaper": True}
-        assert not tam_vs_time_conv(10, 5)["attention_cheaper"]
-
     def test_single_frame_tam_is_baseline_plus_projections(self):
         base = BackboneConfig(levels=3, channels=(4, 8, 16), heads=1)
-        c1 = configuration_report("C1", base, (16, 16), 1)
+        c1 = configuration_report("C1", base, (16, 16), 2)
         cfg = BackboneConfig(levels=3, channels=(4, 8, 16), heads=1,
                              insertion_set=frozenset({"E3"}))
         from tamseg.costs import backbone_rows
-        rows = backbone_rows(cfg, (16, 16), 1)
+        rows = backbone_rows(cfg, (16, 16), 2)
         tam_macs = sum(r.macs for r in rows if r.name.startswith("tam."))
         overhead = sum(r.macs for r in tam_rows(cfg.tam_config("E3"),
-                                                (4, 4), 1))
+                                                (4, 4), 2))
         assert sum(r.macs for r in rows) == c1.total_macs + tam_macs
         assert tam_macs == overhead
 
@@ -190,7 +183,57 @@ class TestOrderings:
         text = compare_architectures(["C2", "C1", "C3"], DESK, DESK_INPUT, 2)
         lines = [ln.split()[0] for ln in text.splitlines()[1:4]]
         assert lines == ["C1", "C3", "C2"]
-        assert "T^2 = 4" in text
+
+
+class TestModelContract:
+    """The cost walk prices exactly the inputs the model takes: it runs the
+    model's own frame, extent and position checks, not rules of its own."""
+
+    BASE = BackboneConfig(channels=(2, 2, 2, 2, 2), heads=1)
+
+    @staticmethod
+    def error_of(call):
+        try:
+            call()
+        except (ValidationError, ShapeError) as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("cid", list(CONFIGURATIONS))
+    def test_report_raises_exactly_when_the_model_does(self, cid):
+        model = build_model(cid, self.BASE, np.random.default_rng(0))
+        for size in (32, 256, 512):
+            zeros = Tensor(np.zeros((1, size, size), np.float32))
+            for t in range(7):
+                # the model's checks on zero frames; no forward runs
+                want = self.error_of(lambda: model._validate_frames([zeros] * t))
+                got = self.error_of(lambda: configuration_report(
+                    cid, self.BASE, (size, size), t))
+                assert got == want, (cid, size, t)
+
+    @pytest.mark.parametrize("size,code", [("256", 0), ("512", 1)])
+    def test_cost_command(self, capsys, size, code):
+        # C5's slot E3 has exactly MAX_POSITIONS positions at 256 px, 4x at 512
+        assert (256 >> 2) ** 2 == MAX_POSITIONS
+        assert main(["cost", "--configs", "C5", "--size", size, "--t", "2",
+                     "--channels", "2,2,2,2,2", "--heads", "1"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith(
+                f"error: attention over {4 * MAX_POSITIONS} positions")
+            assert captured.out == ""
+        else:
+            assert "tam.E3.attention" in captured.out
+
+    def test_ablate_refuses_before_any_file(self, tmp_path, capsys):
+        work = tmp_path / "w"
+        code = main(["ablate", "--axis", "config", "--values", "C1,C5",
+                     "--size", "512", "--steps", "1", "--channels", "2,2,2,2,2",
+                     "--heads", "1", "--train-cases", "1", "--val-cases", "0",
+                     "--test-cases", "1", "--workdir", str(work), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not work.exists() or not any(work.iterdir())
 
 
 class TestCounterAgreement:

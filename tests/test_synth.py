@@ -193,7 +193,7 @@ class TestDatasetOnDisk:
                 np.testing.assert_array_equal(a, b)
             for a, b in zip(got.masks, want.masks):
                 np.testing.assert_array_equal(a.labels, b.labels)
-                assert a.labels.dtype == np.int64
+                assert a.labels.dtype == np.uint8
                 # exact: the spec is the one record of spacing
                 assert a.spacing == spec.spacing
 
