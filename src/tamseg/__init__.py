@@ -7,8 +7,8 @@ Submodules:
 - ``attention``: the cross-time attention module
 - ``unet``: segmentation backbones and the named configuration sweep
 - ``losses``: compound Dice + cross-entropy training loss
-- ``metrics``: Dice, Hausdorff, and mean average surface distance;
-  ``scipy.ndimage`` loads on the first surface metric
+- ``metrics``: Dice, Hausdorff, and mean average surface distance, in
+  numpy alone (exact all-pairs boundary distances, no ``scipy.ndimage``)
 - ``synth``: synthetic contracting-cavity sequences with exact masks
 - ``costs``: closed-form MAC/FLOP/parameter accounting
 - ``gradcheck``: finite-difference verification of the engine

@@ -225,13 +225,13 @@ def cmd_gradcheck(args) -> int:
 def cmd_cost(args) -> int:
     base = _from_flags(BackboneConfig, args)
     spatial = (args.size, args.size)
-    reports = []
-    for cid in args.configs:
-        rep = configuration_report(cid, base, spatial, args.frames)
-        reports.append(rep)
+    # price every configuration before printing any, so a refused one prints nothing
+    reports = [configuration_report(cid, base, spatial, args.frames)
+               for cid in args.configs]
+    for rep in reports:
         print(rep.to_text())
     if len(args.configs) > 1:
-        print(compare_architectures(args.configs, base, spatial, args.frames))
+        print(compare_architectures(args.configs, reports))
     if args.json_out:
         write_json(args.json_out, {"reports": [r.to_json_dict() for r in reports]})
     return 0

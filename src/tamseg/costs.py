@@ -194,16 +194,11 @@ def configuration_report(config_id: str, base: BackboneConfig, input_spatial,
     return CostReport(label, backbone_rows(cfg, input_spatial, t, cls.FOLD_TIME))
 
 
-def compare_architectures(config_ids: list[str], base: BackboneConfig,
-                          input_spatial, t: int) -> str:
-    """Side-by-side totals for several configurations, cheapest first."""
-    reports = [configuration_report(cid, base, input_spatial, t)
-               for cid in config_ids]
-    order = sorted(range(len(reports)), key=lambda i: reports[i].total_flops)
+def compare_architectures(config_ids: list[str], reports: list[CostReport]) -> str:
+    """Side-by-side totals of already priced configurations, cheapest first."""
     buf = io.StringIO()
     buf.write(f"{'config':<8} {'MACs':>16} {'FLOPs':>16} {'params':>12}\n")
-    for i in order:
-        rep = reports[i]
-        buf.write(f"{config_ids[i]:<8} {rep.total_macs:>16} "
+    for cid, rep in sorted(zip(config_ids, reports), key=lambda p: p[1].total_flops):
+        buf.write(f"{cid:<8} {rep.total_macs:>16} "
                   f"{rep.total_flops:>16} {rep.total_params:>12}\n")
     return buf.getvalue()

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, workers
+from . import __version__, workers
 from .costs import configuration_report
 from .errors import NumericError, ValidationError
 from .losses import dice_ce_loss, one_hot
@@ -299,8 +299,6 @@ def evaluate(checkpoint, dataset: str, outdir, split: str = EVAL_SPLIT,
             report.add_case(case_id, idx, preds[idx], truth, labels)
         return report.rows
 
-    # scipy.ndimage loads on its first attribute read: once here, not per worker
-    metrics.ndimage.distance_transform_edt
     case_ids = [f"case_seed{s.spec.seed}" for s in cases]
     report = MetricReport()
     for rows in workers.map_in_workers(score, list(zip(case_ids, cases, indices_for)),

@@ -448,6 +448,16 @@ class TestCostCommand:
     def test_unknown_config_exit_1(self, capsys):
         assert run("cost", "--configs", "C99") == 1
 
+    def test_refused_config_prints_no_table(self, tmp_path, capsys):
+        # C1 prices at 512 px; C5's slot E3 then holds 16,384 positions
+        json_path = tmp_path / "costs.json"
+        assert run("cost", "--configs", "C1,C5", "--size", "512",
+                   "--json", str(json_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not json_path.exists()
+
     @pytest.mark.parametrize("size", ["0", "-16"])
     def test_non_positive_size_exit_1(self, capsys, size):
         assert run("cost", "--configs", "C1", "--size", size) == 1

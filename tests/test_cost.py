@@ -180,7 +180,9 @@ class TestOrderings:
         assert tam_macs == overhead
 
     def test_comparison_text_sorted(self):
-        text = compare_architectures(["C2", "C1", "C3"], DESK, DESK_INPUT, 2)
+        ids = ["C2", "C1", "C3"]
+        text = compare_architectures(
+            ids, [configuration_report(cid, DESK, DESK_INPUT, 2) for cid in ids])
         lines = [ln.split()[0] for ln in text.splitlines()[1:4]]
         assert lines == ["C1", "C3", "C2"]
 

@@ -1,4 +1,4 @@
-"""Import contract: scipy.ndimage loads on the first surface metric only.
+"""Import contract: scoring a case never loads scipy.ndimage.
 
 Each check runs in a fresh interpreter, since what an import loads depends on
 what the process has imported before.
@@ -20,24 +20,36 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def test_ndimage_loads_on_first_surface_metric():
-    proc = run_fresh("""
+def test_scoring_never_loads_ndimage(tmp_path):
+    proc = run_fresh(f"""
         import math, sys
         import numpy as np
         from tamseg.cli import main
-        from tamseg import gradcheck, metrics
+        from tamseg import experiments, gradcheck, metrics, workers
 
+        workers.cpu_count = lambda: 1  # score in this process, where sys.modules is seen
+        root = {str(tmp_path)!r}
         assert main(["cost", "--configs", "C1"]) == 0
         assert all(c.passed for c in gradcheck.run_suite("ops", seeds=[0]))
-        assert "scipy.ndimage._nd_image" not in sys.modules, "loaded before any metric"
 
         a, b = np.zeros((6, 7), np.int64), np.zeros((6, 7), np.int64)
         a[1, 1] = b[4, 5] = 1
         spacing = (1.0, 2.0)
-        hd = metrics.hausdorff(metrics.SegmentationMask(a, spacing),
-                               metrics.SegmentationMask(b, spacing), 1)
-        assert "scipy.ndimage._nd_image" in sys.modules
+        masks = metrics.SegmentationMask(a, spacing), metrics.SegmentationMask(b, spacing)
+        hd = metrics.hausdorff(*masks, 1)
         assert hd == math.sqrt(3.0 ** 2 + (4 * 2.0) ** 2), hd
+        assert metrics.masd(*masks, 1) == hd
+
+        experiments.make_dataset(root + "/ds", seed=0, size=32, frames=2, tier="good",
+                                 counts={{"train": 1, "val": 1, "test": 1}},
+                                 dropout_target="unannotated")
+        experiments.train(experiments.ExperimentConfig(
+            dataset=root + "/ds", outdir=root + "/run", levels=2, channels=(4, 8),
+            heads=1, steps=2, frames=2, tier="good", eval_every=2))
+        experiments.evaluate(root + "/run/checkpoint_best", root + "/ds", root + "/eval")
+        experiments.evaluate(None, root + "/ds", root + "/oracle", oracle=True)
+        for name in ("scipy.ndimage._nd_image", "scipy.special"):
+            assert name not in sys.modules, name + " was loaded"
         print("ok")
     """)
     assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tamseg import metrics
 from tamseg.errors import (ShapeError, UndefinedMetricError, ValidationError)
 from tamseg.metrics import (MetricReport, SegmentationMask, boundary_mask,
                             dsc, ecdf, ecdf_csv, hausdorff, masd)
@@ -43,6 +44,12 @@ def surface_metrics_oracle(a, b, label):
     hd = max(d_ab.max(), d_ba.max())
     ms = 0.5 * (d_ab.mean() + d_ba.mean())
     return float(hd), float(ms)
+
+
+def assert_oracle_exact(a, b):
+    hd_want, masd_want = surface_metrics_oracle(a, b, 1)
+    assert hausdorff(a, b, 1) == hd_want
+    assert masd(a, b, 1) == masd_want
 
 
 def random_mask(rng, shape, spacing, p=0.3):
@@ -164,15 +171,43 @@ class TestSurfaceDistances:
         ((12, 12), (0.7, 1.9)),
         ((8, 8, 8), (1.0, 1.0, 1.0)),
         ((8, 8, 8), (2.0, 1.5, 0.5)),
+        ((7, 6, 5), (0.7, 1.9, 1.3)),
     ])
     def test_matches_brute_force(self, shape, spacing):
         rng = np.random.default_rng(3)
         for _ in range(15):
             a = random_mask(rng, shape, spacing)
             b = random_mask(rng, shape, spacing)
-            hd_want, masd_want = surface_metrics_oracle(a, b, 1)
-            assert hausdorff(a, b, 1) == hd_want
-            np.testing.assert_allclose(masd(a, b, 1), masd_want, rtol=1e-12)
+            assert_oracle_exact(a, b)
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.9, 1.3)])
+    def test_edge_and_single_voxel_regions_match_brute_force(self, spacing):
+        shape = (7, 6, 5)
+        full = np.ones(shape, dtype=np.int64)  # boundary is the whole array surface
+        slab = np.zeros(shape, dtype=np.int64)
+        slab[:, :2] = 1  # touches five faces of the array
+        corner = np.zeros(shape, dtype=np.int64)
+        corner[-1, -1, -1] = 1
+        centre = np.zeros(shape, dtype=np.int64)
+        centre[3, 2, 2] = 1
+        rng = np.random.default_rng(10)
+        noise = (rng.random(shape) < 0.3).astype(np.int64)
+        noise[0, 0, 0] = 1
+        regions = [full, slab, corner, centre, noise]
+        for la in regions:
+            for lb in regions:
+                assert_oracle_exact(SegmentationMask(la, spacing),
+                                    SegmentationMask(lb, spacing))
+
+    @pytest.mark.parametrize("chunk_pairs", [1, 7, 64])
+    def test_boundary_spanning_several_chunks(self, monkeypatch, chunk_pairs):
+        # 1 forces one boundary row per chunk; 7 and 64 leave a ragged last chunk
+        monkeypatch.setattr(metrics, "SURFACE_CHUNK_PAIRS", chunk_pairs)
+        rng = np.random.default_rng(11)
+        for shape, spacing in [((12, 12), (0.7, 1.9)), ((7, 6, 5), (0.7, 1.9, 1.3))]:
+            for _ in range(5):
+                assert_oracle_exact(random_mask(rng, shape, spacing),
+                                    random_mask(rng, shape, spacing))
 
     def test_symmetry(self):
         rng = np.random.default_rng(4)
@@ -236,6 +271,25 @@ class TestReporting:
         assert lines[0] == "case,frame,class,dsc,hd_mm,masd_mm,error"
         assert lines[1].startswith("case_a,0,1,")
         assert lines[3].startswith("case_b,0,1,")
+
+    def test_rows_equal_brute_force(self):
+        rng = np.random.default_rng(12)
+        report = MetricReport()
+        cases = {}
+        for shape, spacing in [((12, 12), (0.7, 1.9)), ((7, 6, 5), (0.7, 1.9, 1.3))]:
+            for _ in range(4):
+                labels = [rng.integers(0, 3, shape) for _ in range(2)]
+                for lab in labels:
+                    lab.flat[:2] = [1, 2]  # both labels nonempty
+                pred, truth = (SegmentationMask(lab, spacing) for lab in labels)
+                name = f"case{len(cases)}"
+                cases[name] = pred, truth
+                report.add_case(name, 0, pred, truth, labels=[1, 2])
+        for row in report.rows:
+            pred, truth = cases[row.case]
+            assert (row.hd_mm, row.masd_mm) == surface_metrics_oracle(pred, truth, row.label)
+            assert row.dsc == dsc(pred, truth, row.label)
+        assert len(report.rows) == 2 * len(cases)
 
     def test_undefined_label_recorded_not_raised(self):
         pred = SegmentationMask(np.zeros((6, 6), dtype=int), (1.0, 1.0))
