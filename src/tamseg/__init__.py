@@ -14,14 +14,19 @@ Submodules:
 - ``gradcheck``: finite-difference verification of the engine
 - ``experiments``: training, evaluation, and ablation drivers
 - ``tnsr``: the on-disk tensor and bundle format
-- ``workers``: the forked worker-process map behind evaluation and
-  gradient checks
+- ``workers``: the forked worker-process map behind evaluation, gradient
+  checks and training cells
 
-Heavy imports stay out of package import time so the command line can pin
-threading environment variables first.
+Importing the package pins BLAS and OpenMP to one thread unless set; numpy
+must load after that, so heavy imports stay out of package import time.
 """
 
 import importlib
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 __version__ = "0.1.0"
 

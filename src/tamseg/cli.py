@@ -1,8 +1,8 @@
 """Command-line interface: gen, train, eval, ablate, gradcheck, cost.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime or numeric
-failure. Thread counts are pinned to 1 before numpy loads so reruns of a
-command with the same flags and seed reproduce result files byte for byte.
+failure. Importing ``tamseg`` pins BLAS threads to 1, so reruns of a command
+with the same flags reproduce result files byte for byte at any worker count.
 
 A flag for an ExperimentConfig field has the field's name as its dest. Defaults
 are read from ExperimentConfig, BackboneConfig, SequenceSpec and
@@ -14,13 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
-
-# must happen before numpy's first import anywhere in the process
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 from .costs import compare_architectures, configuration_report
 from .errors import NumericError, ShapeError, UndefinedMetricError, ValidationError
@@ -185,7 +179,8 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     # ablate assigns per-cell dataset/outdir paths under --workdir
     base = _from_flags(ExperimentConfig, args)
-    log = None if args.quiet else (lambda msg: print(msg, flush=True))
+    # one write per line, so the lines of concurrent cells never split
+    log = None if args.quiet else (lambda msg: print(f"{msg}\n", end="", flush=True))
     rows = ablate(args.axis, args.values, base,
                   seeds=args.seeds, workdir=args.workdir,
                   size=args.size,

@@ -10,9 +10,9 @@ results.
 (``workers.map_in_workers``), one per CPU of the process's affinity set
 (``taskset -c 0`` gives one, which runs in-process),
 and puts the rows back in case order, so its files are the same bytes for
-any worker count. Each worker holds its own activations. Training, its
-validation passes and the cells of ``ablate`` run one after the other in
-this process; a cell's evaluation is scored as above.
+any worker count. Each worker holds its own activations. Training and its
+validation passes run in one process; ``run_cells`` (behind ``ablate``)
+maps whole cells, training then evaluation, over the workers the same way.
 """
 
 from __future__ import annotations
@@ -345,6 +345,25 @@ def make_dataset(root, seed: int, size: int, frames: int, tier: str,
     write_dataset(root, splits)
 
 
+def run_cells(cells: list[ExperimentConfig], log=None) -> list[dict]:
+    """Train each cell, then score its best checkpoint; ``evaluate``'s results.
+
+    A cell writes only its ``outdir`` (scores in ``<outdir>/eval``), so two
+    cells with one ``outdir`` are refused. Cells run as ``evaluate``'s cases
+    do, one per worker and named by ``outdir``; ``log`` gets their training
+    progress, each line prefixed with the ``outdir``'s name.
+    """
+    if len({Path(c.outdir) for c in cells}) < len(cells):
+        raise ValidationError("two cells share an outdir")
+
+    def run(cell) -> dict:
+        out = Path(cell.outdir)
+        train(cell, log=None if log is None else lambda msg: log(f"{out.name}: {msg}"))
+        return evaluate(out / "checkpoint_best", cell.dataset, out / "eval")
+
+    return workers.map_in_workers(run, cells, [c.outdir for c in cells])
+
+
 def ablate(axis: str, values: list[str], base: ExperimentConfig,
            seeds: list[int], workdir, size: int, dataset_counts: dict[str, int],
            dropout_target: str, log=None) -> list[dict]:
@@ -355,7 +374,7 @@ def ablate(axis: str, values: list[str], base: ExperimentConfig,
     the test split plus closed-form FLOPs/params for the cell's architecture.
     Every cell's value and architecture are checked before any file is made.
     Each dataset is generated once per call from the call's settings, also
-    where an earlier call left one in ``workdir``.
+    where an earlier call left one in ``workdir``; then ``run_cells`` runs the cells.
     """
     if axis not in ABLATION_AXES:
         raise ValidationError(f"unknown ablation axis {axis!r}; "
@@ -365,39 +384,30 @@ def ablate(axis: str, values: list[str], base: ExperimentConfig,
     # the cost walk refuses an architecture the cell's backbone cannot host
     costs = [configuration_report(c.config_id, c.backbone(), (size, size), c.frames)
              for c in cells]
-    rows = []
-    made = set()
+    rows, runs, datasets = [], [], {}
     for value, cell, cost in zip(values, cells, costs):
-        data_key = f"{axis}_{value}" if axis in ("frames", "tier") else "shared"
-        data_dir = workdir / "datasets" / data_key
-        # made once per call from this call's settings: a dataset left in
-        # the workdir by an earlier call may have another size or count
-        if data_key not in made:
-            make_dataset(data_dir, seed=base.seed, size=size,
-                         frames=cell.frames, tier=cell.tier,
-                         counts=dataset_counts, dropout_target=dropout_target)
-            made.add(data_key)
+        data_dir = workdir / "datasets" / (
+            f"{axis}_{value}" if axis in ("frames", "tier") else "shared")
+        datasets[data_dir] = cell
         for seed in seeds:
-            run = dataclasses.replace(
+            rows.append({"axis": axis, "value": value, "seed": seed,
+                         "flops": cost.total_flops, "params": cost.total_params})
+            runs.append(dataclasses.replace(
                 cell, seed=seed, dataset=str(data_dir),
-                outdir=str(workdir / f"{axis}_{value}_seed{seed}"))
-            if log is not None:
-                log(f"ablate {axis}={value} seed={seed}")
-            train(run, log=log)
-            result = evaluate(Path(run.outdir) / "checkpoint_best",
-                              run.dataset, Path(run.outdir) / "eval")
-            agg = result["aggregate"]["classes"]
-            defined = [v for v in agg.values() if v["hd_mm_mean"] is not None]
-            rows.append({
-                "axis": axis, "value": value, "seed": seed,
-                "dsc": float(np.mean([v["dsc_mean"] for v in agg.values()])),
-                "hd_mm": (float(np.mean([v["hd_mm_mean"] for v in defined]))
-                          if defined else None),
-                "masd_mm": (float(np.mean([v["masd_mm_mean"] for v in defined]))
-                            if defined else None),
-                "flops": cost.total_flops,
-                "params": cost.total_params,
-            })
+                outdir=str(workdir / f"{axis}_{value}_seed{seed}")))
+    # each dataset is made once per call from this call's settings: one left
+    # in the workdir by an earlier call may have another size or count
+    for data_dir, cell in datasets.items():
+        make_dataset(data_dir, seed=base.seed, size=size, frames=cell.frames,
+                     tier=cell.tier, counts=dataset_counts,
+                     dropout_target=dropout_target)
+    for row, result in zip(rows, run_cells(runs, log=log)):
+        agg = result["aggregate"]["classes"]
+        defined = [v for v in agg.values() if v["hd_mm_mean"] is not None]
+        row["dsc"] = float(np.mean([v["dsc_mean"] for v in agg.values()]))
+        for metric in ("hd_mm", "masd_mm"):
+            row[metric] = (float(np.mean([v[f"{metric}_mean"] for v in defined]))
+                           if defined else None)
     _write_ablation(workdir, axis, rows, base)
     return rows
 

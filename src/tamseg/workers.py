@@ -1,8 +1,8 @@
 """Map a function over items in forked worker processes, one per CPU.
 
 ``map_in_workers`` is the one parallel runner of the package: ``evaluate``
-scores its cases with it and ``gradcheck`` its coordinate chunks and op
-cases. The number of workers is the size of the process's CPU affinity set
+scores its cases with it, ``gradcheck`` its coordinate chunks and op cases,
+and ``experiments.run_cells`` its training cells. The number of workers is the size of the process's CPU affinity set
 (``cpu_count``), so ``taskset -c 0`` runs everything in-process; there is no
 flag, environment variable or config field. Results come back in input
 order, so a caller's output is the same bytes for any worker count.

@@ -1,8 +1,14 @@
-"""Checks that hold after every test."""
+"""Checks that hold after every test.
+
+Imported first, so ``import tamseg`` here pins BLAS and OpenMP threads before
+any test module loads numpy, as the command line runs.
+"""
 
 import os
 
 import pytest
+
+import tamseg  # noqa: F401
 
 
 @pytest.fixture(autouse=True)

@@ -423,6 +423,47 @@ class TestGradcheckFailures:
             "", "i/o failure: softmax seed 0: worker process died (exit code -9)\n")
 
 
+class TestAblateFailures:
+    """A failing or dying cell of ``tamseg ablate``, at its exit code."""
+
+    ARGS = ("ablate", "--axis", "config", "--values", "C1", "--seeds", "0,1,2",
+            "--levels", "2", "--channels", "4,8", "--heads", "1", "--size", "32",
+            "--train-cases", "1", "--val-cases", "1", "--test-cases", "1", "--quiet")
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_failing_cell_exit_1(self, tmp_path, capsys, monkeypatch, workers):
+        def fail(cfg, log=None):
+            if cfg.seed == 0:  # the first cell fails last
+                time.sleep(0.2)
+            raise ValidationError(f"cell seed {cfg.seed} failed")
+
+        monkeypatch.setattr("tamseg.experiments.train", fail)
+        monkeypatch.setattr("tamseg.workers.cpu_count", lambda: workers)
+        capsys.readouterr()
+        assert run(*self.ARGS, "--workdir", str(tmp_path / "w")) == 1
+        assert capsys.readouterr() == ("", "error: cell seed 0 failed\n")
+        assert not (tmp_path / "w" / "results.csv").exists()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_dead_worker_names_the_cell_exit_2(self, tmp_path, capsys, monkeypatch,
+                                              workers):
+        parent = os.getpid()
+
+        def fail(cfg, log=None):
+            if cfg.seed == 0 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValidationError(f"cell seed {cfg.seed} failed")
+
+        monkeypatch.setattr("tamseg.experiments.train", fail)
+        monkeypatch.setattr("tamseg.workers.cpu_count", lambda: workers)
+        capsys.readouterr()
+        assert run(*self.ARGS, "--workdir", str(tmp_path / "w")) == 2
+        cell = tmp_path / "w" / "config_C1_seed0"
+        assert capsys.readouterr() == (
+            "", f"i/o failure: {cell}: worker process died (exit code -9)\n")
+        assert not (tmp_path / "w" / "results.csv").exists()
+
+
 class TestCostCommand:
     def test_single_report(self, tmp_path, capsys):
         code = run("cost", "--configs", "C1", "--size", "32", "--levels", "3",
@@ -486,6 +527,20 @@ class TestAblateCommand:
         assert (work / "results.csv").exists()
         out = capsys.readouterr().out
         assert "config=C1 seed=0" in out
+
+    def test_progress_lines_name_their_cell(self, tmp_path, capfd, monkeypatch):
+        # fd-level capture also sees what the worker processes print
+        monkeypatch.setattr("tamseg.workers.cpu_count", lambda: 2)
+        code = run("ablate", "--axis", "config", "--values", "C1", "--seeds", "0,1",
+                   "--workdir", str(tmp_path / "w"), "--levels", "2",
+                   "--channels", "4,8", "--heads", "1", "--steps", "3",
+                   "--train-cases", "1", "--val-cases", "1", "--test-cases", "1")
+        assert code == 0
+        progress = sorted(line.split(": train loss ")[0]
+                          for line in capfd.readouterr().out.splitlines()
+                          if ": step " in line)
+        assert progress == ["config_C1_seed0: step 0", "config_C1_seed0: step 2",
+                            "config_C1_seed1: step 0", "config_C1_seed1: step 2"]
 
     def test_negative_case_count_exit_1_before_any_file(self, tmp_path, capsys):
         code = run("ablate", "--axis", "heads", "--values", "1", "--levels", "2",

@@ -322,6 +322,32 @@ class TestAblation:
         # both seeds share one dataset directory
         assert (tmp_path / "work" / "datasets" / "shared").exists()
 
+    def test_files_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+        base = ExperimentConfig(**{**TINY, "steps": 2})
+        work = tmp_path / "work"
+
+        def tree(count):
+            # the same workdir both times: each cell's config.json records its paths
+            set_workers(monkeypatch, count)
+            ablate("frames", ["2", "3"], base, seeds=[0, 1], workdir=work, size=32,
+                   dataset_counts={"train": 1, "val": 1, "test": 1},
+                   dropout_target="unannotated")
+            return {p.relative_to(work).as_posix(): p.read_bytes()
+                    for p in sorted(work.rglob("*")) if p.is_file()}
+
+        serial = tree(1)
+        assert {"results.csv", "results.json", "frames_3_seed1/eval/metrics.json",
+                "datasets/frames_3/manifest.json"} <= set(serial)
+        assert tree(2) == serial
+
+    def test_cells_sharing_an_outdir_refused(self, tmp_path):
+        base = ExperimentConfig(**{**TINY, "steps": 1})
+        with pytest.raises(ValidationError, match="share an outdir"):
+            ablate("config", ["C1", "C1"], base, seeds=[0], workdir=tmp_path, size=32,
+                   dataset_counts={"train": 1, "val": 1, "test": 1},
+                   dropout_target="unannotated")
+        assert not (tmp_path / "config_C1_seed0").exists()
+
     def test_rerun_at_another_size_regenerates_the_dataset(self, tmp_path):
         base = ExperimentConfig(**{**TINY, "steps": 1})
 

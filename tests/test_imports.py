@@ -1,4 +1,5 @@
-"""Import contract: scoring a case never loads scipy.ndimage.
+"""Import contracts: importing tamseg pins BLAS threads before numpy loads,
+and scoring a case never loads scipy.ndimage.
 
 Each check runs in a fresh interpreter, since what an import loads depends on
 what the process has imported before.
@@ -10,6 +11,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -18,6 +21,24 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
+def test_importing_tamseg_pins_blas_threads(preset, want):
+    proc = run_fresh(f"""
+        import os, sys
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+            os.environ.pop(var, None)
+        if {preset!r} is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = {preset!r}
+        import tamseg
+        assert "numpy" not in sys.modules
+        import numpy
+        print(os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [want, "1"]
 
 
 def test_scoring_never_loads_ndimage(tmp_path):
