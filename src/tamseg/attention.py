@@ -123,7 +123,9 @@ class ParameterSet:
         have its shape. The arrays stay the same objects, so an optimizer
         that holds them as views (``optim.Adam``) trains the loaded values.
         Every name is checked before any is written, so a rejected checkpoint
-        changes nothing.
+        changes nothing. Names the model does not have are ignored, so a
+        checkpoint that still holds a since-deleted tensor (the attention
+        module's key bias, say) loads.
         """
         current = self.named_arrays()
         loaded = {}
@@ -139,38 +141,37 @@ class ParameterSet:
 
 
 class TamParams(ParameterSet):
-    """Learnable weights of one attention module instance.
+    """Learnable weights of one attention module instance, drawn from ``rng``.
 
     Query/key/value and output maps are position-wise (1x1) convolutions; the
     residual fusion is a 3x3 (3x3x3 in 3D) convolution followed by batch
-    norm, so the fusion carries no bias of its own.
+    norm, so the fusion carries no bias of its own. Nor does the key map: a
+    key bias adds q_i·b to every logit of query row i, a shift softmax
+    cancels, so it would never reach the output.
     """
 
-    def __init__(self, config: TamConfig):
+    def __init__(self, config: TamConfig, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
         self.config = config
-
-    @staticmethod
-    def initialize(config: TamConfig, rng: np.random.Generator,
-                   dtype=np.float32) -> "TamParams":
         c, d, rank = config.channels, config.d_embed, config.spatial_rank
         one = (1,) * rank
-        p = TamParams(config)
-        p.w_q = p.param("w_q", _uniform(rng, (d, c) + one, c, dtype))
-        p.b_q = p.param("b_q", _uniform(rng, (d,), c, dtype))
-        p.w_k = p.param("w_k", _uniform(rng, (d, c) + one, c, dtype))
-        p.b_k = p.param("b_k", _uniform(rng, (d,), c, dtype))
-        p.w_v = p.param("w_v", _uniform(rng, (d, c) + one, c, dtype))
-        p.b_v = p.param("b_v", _uniform(rng, (d,), c, dtype))
-        p.w_g = p.param("w_g", _uniform(rng, (d, d) + one, d, dtype))
-        p.b_g = p.param("b_g", _filled(d, 0.0, dtype))
-        p.w_r = p.param("w_r", _uniform(rng, (c, c + d) + (3,) * rank,
-                                        (c + d) * 3 ** rank, dtype))
-        p.bn_gamma = p.param("bn_gamma", _filled(c, 1.0, dtype))
-        p.bn_beta = p.param("bn_beta", _filled(c, 0.0, dtype))
-        p.w_o = p.param("w_o", _uniform(rng, (c, c) + one, c, dtype))
-        p.bn_state = p.norm_state("bn_", BatchNormState(c, dtype=dtype))
-        return p
+        self.w_q = self.param("w_q", _uniform(rng, (d, c) + one, c, dtype))
+        self.b_q = self.param("b_q", _uniform(rng, (d,), c, dtype))
+        self.w_k = self.param("w_k", _uniform(rng, (d, c) + one, c, dtype))
+        # drawn and dropped where the key bias was drawn, so every later
+        # initial weight stays where it was
+        rng.uniform(size=d)
+        self.w_v = self.param("w_v", _uniform(rng, (d, c) + one, c, dtype))
+        self.b_v = self.param("b_v", _uniform(rng, (d,), c, dtype))
+        self.w_g = self.param("w_g", _uniform(rng, (d, d) + one, d, dtype))
+        self.b_g = self.param("b_g", _filled(d, 0.0, dtype))
+        self.w_r = self.param("w_r", _uniform(rng, (c, c + d) + (3,) * rank,
+                                              (c + d) * 3 ** rank, dtype))
+        self.bn_gamma = self.param("bn_gamma", _filled(c, 1.0, dtype))
+        self.bn_beta = self.param("bn_beta", _filled(c, 0.0, dtype))
+        self.w_o = self.param("w_o", _uniform(rng, (c, c) + one, c, dtype))
+        self.bn_state = self.norm_state("bn_", BatchNormState(c, dtype=dtype))
 
 
 # -- the four stages ---------------------------------------------------------
@@ -184,7 +185,7 @@ def project_qkv(f_t: Tensor, params: TamParams) -> tuple[Tensor, Tensor, Tensor]
                          f"config expects {cfg.channels}")
     n = math.prod(f_t.shape[1:])
     q = reshape(conv_nd(f_t, params.w_q, params.b_q), (cfg.d_embed, n))
-    k = reshape(conv_nd(f_t, params.w_k, params.b_k), (cfg.d_embed, n))
+    k = reshape(conv_nd(f_t, params.w_k), (cfg.d_embed, n))
     v = reshape(conv_nd(f_t, params.w_v, params.b_v), (cfg.d_embed, n))
     return q, k, v
 

@@ -113,7 +113,8 @@ def tam_rows(cfg: TamConfig, spatial, t: int, prefix: str = "tam") -> list[CostR
     one = (1,) * len(tuple(spatial))
     rows = []
     for name in ("w_q", "w_k", "w_v"):
-        macs, params = conv_cost(one, c, d, spatial, bias=True)
+        # the key map has no bias (attention.TamParams)
+        macs, params = conv_cost(one, c, d, spatial, bias=name != "w_k")
         rows.append(CostRow(f"{prefix}.{name}", macs * t, params))
     rows.append(CostRow(f"{prefix}.attention",
                         attention_pair_macs(n, d) * pairs, 0))

@@ -62,31 +62,18 @@ class GradCheckResult:
         return self.max_rel_error < TOLERANCE
 
 
-def relative_error(analytic: np.ndarray, numeric: np.ndarray,
-                   abs_floor: float = 0.0) -> float:
-    """Max elementwise |a - n| / (|a| + |n| + 1e-8).
-
-    Coordinates where both values sit below ``abs_floor`` count as exact
-    agreement: a mathematically zero derivative leaves only rounding residue
-    on both routes, and a relative comparison of two noise values is
-    meaningless. A wrong analytic zero still fails, because the numeric side
-    would show the true magnitude.
-    """
+def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max elementwise |a - n| / (|a| + |n| + 1e-8)."""
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
     if not a.size:
         return 0.0
-    err = np.abs(a - n) / (np.abs(a) + np.abs(n) + 1e-8)
-    if abs_floor > 0.0:
-        err = np.where((np.abs(a) < abs_floor) & (np.abs(n) < abs_floor),
-                       0.0, err)
-    return float(np.max(err))
+    return float(np.max(np.abs(a - n) / (np.abs(a) + np.abs(n) + 1e-8)))
 
 
 def check_gradients(build_loss, tensors: dict[str, Tensor], *,
                     sample: int | None = None,
-                    rng: np.random.Generator | None = None,
-                    abs_floor: float = 0.0) -> float:
+                    rng: np.random.Generator | None = None) -> float:
     """Compare reverse-mode grads of the scalar ``build_loss()`` to central differences.
 
     ``build_loss`` must recompute the loss from the tensors' current ``data``
@@ -198,7 +185,7 @@ def check_gradients(build_loss, tensors: dict[str, Tensor], *,
             run_unit, units, [f"{names[k]} [{start}:{stop}]" for k, start, stop in units])):
         numerics[k][start:stop] = numeric
     # np.max keeps a NaN error, which Python's max would drop
-    return float(np.max([relative_error(a[c], numeric, abs_floor=abs_floor)
+    return float(np.max([relative_error(a[c], numeric)
                          for a, c, numeric in zip(analytic, coords, numerics)], initial=0.0))
 
 
@@ -442,7 +429,7 @@ def run_tam_suite(seeds=range(3)) -> list[GradCheckResult]:
     for seed in seeds:
         rng = np.random.default_rng(seed)
         cfg = TamConfig(channels=8, d_embed=8, heads=2, spatial_rank=2)
-        params = TamParams.initialize(cfg, rng, dtype=np.float64)
+        params = TamParams(cfg, rng, dtype=np.float64)
         frames = [_rand(rng, (8, 4, 4)) for _ in range(2)]
         weights = [Tensor(rng.uniform(-1.0, 1.0, size=(8, 4, 4))) for _ in range(2)]
 
@@ -457,10 +444,7 @@ def run_tam_suite(seeds=range(3)) -> list[GradCheckResult]:
 
         tensors = {f"frame_{i}": f for i, f in enumerate(frames)}
         tensors.update(params.named_parameters())
-        # the key bias shifts all logits of a query row equally, and softmax
-        # cancels per-row shifts, so its true gradient is identically zero;
-        # the floor keeps that exact zero from failing a relative comparison
-        err = check_gradients(build_loss, tensors, abs_floor=1e-7)
+        err = check_gradients(build_loss, tensors)
         results.append(GradCheckResult(f"tam_seed{seed}", err))
     return results
 
@@ -489,8 +473,7 @@ def run_end2end_suite(seeds=range(2)) -> list[GradCheckResult]:
         tensors = dict(model.named_parameters())
         tensors.update({f"frame_{i}": f for i, f in enumerate(frames)})
         coord_rng = np.random.default_rng(seed + 1000)
-        err = check_gradients(build_loss, tensors, sample=4, rng=coord_rng,
-                              abs_floor=1e-7)
+        err = check_gradients(build_loss, tensors, sample=4, rng=coord_rng)
         results.append(GradCheckResult(f"end2end_seed{seed}", err))
     return results
 

@@ -76,6 +76,8 @@ class SequenceSpec:
             raise ValidationError("noise_sigma must be >= 0")
         if self.dropout_patches < 0:
             raise ValidationError("dropout_patches must be >= 0")
+        if self.dropout_size is not None and self.dropout_size < 1:
+            raise ValidationError(f"dropout_size must be >= 1, got {self.dropout_size}")
         if self.dropout_target not in DROPOUT_TARGETS:
             raise ValidationError(f"dropout_target {self.dropout_target!r} not in "
                                   f"{DROPOUT_TARGETS}")

@@ -181,8 +181,7 @@ class _UNet(ParameterSet):
         self.head_b = self.param("head.b", _filled(config.classes, 0.0, dtype))
         self.tams = {}
         for slot in sorted(config.insertion_set):
-            tam = self.tams[slot] = TamParams.initialize(config.tam_config(slot),
-                                                         rng, dtype)
+            tam = self.tams[slot] = TamParams(config.tam_config(slot), rng, dtype)
             for name, t in tam.params.items():
                 self.param(f"tam.{slot}.{name}", t)
             self.norm_state(f"tam.{slot}.", tam.bn_state)

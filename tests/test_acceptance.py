@@ -66,7 +66,7 @@ class TestAttentionModule:
             width = d // heads
             fq, fk = rng.standard_normal((2, c, 16))
             q = p["w_q"].reshape(d, c) @ fq + p["b_q"][:, None]
-            k = p["w_k"].reshape(d, c) @ fk + p["b_k"][:, None]
+            k = p["w_k"].reshape(d, c) @ fk
             for h in range(heads):
                 sl = slice(h * width, (h + 1) * width)
                 w = softmax(attention_logits(Tensor(q[sl]), Tensor(k[sl])),

@@ -64,7 +64,7 @@ def tam_oracle(frames, p, heads):
     proj = []
     for f in frames:
         proj.append((conv1x1(f, p["w_q"], p["b_q"]),
-                     conv1x1(f, p["w_k"], p["b_k"]),
+                     conv1x1(f, p["w_k"]),
                      conv1x1(f, p["w_v"], p["b_v"])))
     outs = []
     for i in range(t_n):
@@ -157,7 +157,7 @@ def tam_forward_per_pair(stack, params, training=False):
 def make_params(rng, channels=8, d_embed=8, heads=2, randomize_bn=True):
     cfg = TamConfig(channels=channels, d_embed=d_embed, heads=heads,
                     spatial_rank=2)
-    params = TamParams.initialize(cfg, rng, dtype=np.float64)
+    params = TamParams(cfg, rng, dtype=np.float64)
     if randomize_bn:
         # eval-mode BN with nontrivial running stats, so the oracle checks them too
         params.bn_state.running_mean = rng.uniform(-0.3, 0.3, size=channels)
@@ -422,17 +422,6 @@ class TestTamForward:
         for g, w in zip(got.frames, want):
             np.testing.assert_allclose(g.data, w, atol=1e-9)
 
-    def test_key_bias_never_reaches_output(self):
-        # shifting every key logit equally per query row cancels in softmax,
-        # so the key projection bias is output-inert by construction
-        rng = np.random.default_rng(16)
-        cfg, params = make_params(rng)
-        frames = [Tensor(rng.standard_normal((8, 4, 4))) for _ in range(2)]
-        base = tam_forward(FeatureStack(frames), params).frames[0].data.copy()
-        params.b_k.data = params.b_k.data + rng.normal(size=8)
-        moved = tam_forward(FeatureStack(frames), params).frames[0].data
-        np.testing.assert_allclose(base, moved, atol=1e-10)
-
     def test_position_guard(self):
         rng = np.random.default_rng(17)
         cfg, params = make_params(rng, channels=2, d_embed=2, heads=1)
@@ -449,8 +438,6 @@ class TestTamForward:
         out = tam_forward(FeatureStack(frames), params, training=True)
         backward(tsum(out.frames[0]) + tsum(out.frames[1]))
         for name, t in params.named_parameters().items():
-            if name == "b_k":
-                continue  # mathematically zero gradient, may stay unset-or-zero
             assert t.grad is not None and np.any(t.grad.data != 0), name
         for f in frames:
             assert f.grad is not None
@@ -466,8 +453,7 @@ class TestMatchesPerPairRoute:
 
     @staticmethod
     def _run(forward, cfg, arrays, frames_np, weights_np):
-        params = TamParams.initialize(cfg, np.random.default_rng(0),
-                                      dtype=arrays["w_q"].dtype)
+        params = TamParams(cfg, np.random.default_rng(0), dtype=arrays["w_q"].dtype)
         params.load_arrays(arrays)
         frames = [Tensor(f, requires_grad=True) for f in frames_np]
         out = forward(FeatureStack(list(frames)), params, training=True)
@@ -490,7 +476,7 @@ class TestMatchesPerPairRoute:
     def test_bit_identical(self, t, heads, dtype):
         rng = np.random.default_rng(1000 + 10 * t + heads)
         cfg = TamConfig(channels=6, d_embed=8, heads=heads, spatial_rank=2)
-        arrays = TamParams.initialize(cfg, rng, dtype=dtype).to_arrays()
+        arrays = TamParams(cfg, rng, dtype=dtype).to_arrays()
         frames_np = [rng.standard_normal((6, 3, 5)).astype(dtype) for _ in range(t)]
         weights_np = [rng.standard_normal((6, 3, 5)).astype(dtype) for _ in range(t)]
         want = self._run(tam_forward_per_pair, cfg, arrays, frames_np, weights_np)
@@ -537,11 +523,23 @@ class TestParamSerialization:
         for name, arr in params.to_arrays().items():
             assert not np.shares_memory(arr, arrays[name]), name
 
+    def test_initial_weights_follow_a_skipped_key_bias_draw(self):
+        # the key map's bias was drawn after w_k; its draw stays, so every
+        # later initial weight is where it was before the bias went
+        params = TamParams(TamConfig(channels=8, d_embed=4, heads=2),
+                           np.random.default_rng(3), dtype=np.float64)
+        rng = np.random.default_rng(3)
+        bound = 1.0 / math.sqrt(8)
+        for shape in ((4, 8, 1, 1), (4,), (4, 8, 1, 1), (4,)):
+            rng.uniform(-bound, bound, size=shape)
+        assert params.w_v.data.tobytes() == \
+            rng.uniform(-bound, bound, size=(4, 8, 1, 1)).tobytes()
+
     def test_parameter_count(self):
         cfg = TamConfig(channels=8, d_embed=8, heads=2)
-        params = TamParams.initialize(cfg, np.random.default_rng(0))
+        params = TamParams(cfg, np.random.default_rng(0))
         c, d = 8, 8
-        expected = 3 * (d * c + d)          # q/k/v projections with bias
+        expected = 3 * d * c + 2 * d        # q/k/v projections, q and v biased
         expected += d * d + d               # gate
         expected += c * (c + d) * 9         # 3x3 fusion
         expected += 2 * c                   # bn gamma/beta

@@ -158,13 +158,8 @@ class TestRelativeError:
         n = np.array([1e6 * (1 + 1e-5)])
         assert 0.4e-5 < relative_error(a, n) < 0.6e-5
 
-    def test_abs_floor_suppresses_noise(self):
-        # both routes tiny: agreement, regardless of their ratio
-        a, n = np.array([1e-10]), np.array([3e-10])
-        assert relative_error(a, n, abs_floor=1e-7) == 0.0
-        # analytic zero against a real numeric signal must still be caught
-        assert relative_error(np.array([0.0]), np.array([1e-3]),
-                              abs_floor=1e-7) > 0.4
+    def test_analytic_zero_against_numeric_signal_fails(self):
+        assert relative_error(np.array([0.0]), np.array([1e-3])) > 0.4
 
 
 # a loss term that reads no checked tensor: its taped call is one the checked
@@ -310,7 +305,7 @@ class TestCheckGradients:
         np.testing.assert_array_equal(x.data, [1.0, -2.0])
 
 
-def oracle_check(build_loss, tensors, *, sample=None, rng=None, abs_floor=0.0):
+def oracle_check(build_loss, tensors, *, sample=None, rng=None):
     """check_gradients as one full ``build_loss()`` per evaluation.
 
     Returns the worst relative error and the numeric derivatives, one array
@@ -339,8 +334,7 @@ def oracle_check(build_loss, tensors, *, sample=None, rng=None, abs_floor=0.0):
                 flat[i] = saved
                 numeric[out_idx] = (plus - minus) / (2.0 * STEP)
             numerics.append(numeric)
-            worst = max(worst, relative_error(analytic.reshape(-1)[coords], numeric,
-                                              abs_floor=abs_floor))
+            worst = max(worst, relative_error(analytic.reshape(-1)[coords], numeric))
     return worst, numerics
 
 
@@ -357,11 +351,11 @@ def against_oracle(monkeypatch):
     checks, numerics = [], []
     replaying, measure = gradcheck.check_gradients, gradcheck.relative_error
 
-    def spy_error(analytic, numeric, abs_floor=0.0):
+    def spy_error(analytic, numeric):
         numerics.append(numeric.copy())
-        return measure(analytic, numeric, abs_floor=abs_floor)
+        return measure(analytic, numeric)
 
-    def both(build_loss, tensors, *, sample=None, rng=None, abs_floor=0.0):
+    def both(build_loss, tensors, *, sample=None, rng=None):
         oracle_rng = copy.deepcopy(rng)
         evals = []
 
@@ -370,9 +364,9 @@ def against_oracle(monkeypatch):
             return build_loss()
 
         numerics.clear()
-        worst = replaying(counted, tensors, sample=sample, rng=rng, abs_floor=abs_floor)
+        worst = replaying(counted, tensors, sample=sample, rng=rng)
         oracle_worst, oracle_numerics = oracle_check(
-            build_loss, tensors, sample=sample, rng=oracle_rng, abs_floor=abs_floor)
+            build_loss, tensors, sample=sample, rng=oracle_rng)
         checks.append(SimpleNamespace(
             tensors=tensors, evals=len(evals), worst=worst, numerics=list(numerics),
             oracle_worst=oracle_worst, oracle_numerics=oracle_numerics))

@@ -391,7 +391,7 @@ class TestCheckpointing:
             "dec1.a.w", "dec1.a.gamma", "dec1.a.beta",
             "dec1.b.w", "dec1.b.gamma", "dec1.b.beta",
             "head.w", "head.b",
-            "tam.E2.w_q", "tam.E2.b_q", "tam.E2.w_k", "tam.E2.b_k",
+            "tam.E2.w_q", "tam.E2.b_q", "tam.E2.w_k",
             "tam.E2.w_v", "tam.E2.b_v", "tam.E2.w_g", "tam.E2.b_g",
             "tam.E2.w_r", "tam.E2.bn_gamma", "tam.E2.bn_beta", "tam.E2.w_o",
         ]

@@ -14,7 +14,7 @@ from tamseg import cli, gradcheck, metrics
 from tamseg import tensor as T
 from tamseg.cli import main
 from tamseg.errors import ValidationError
-from tamseg.experiments import ExperimentConfig
+from tamseg.experiments import ExperimentConfig, load_checkpoint
 from tamseg.tensor import Tensor
 from tamseg.tnsr import (read_array, read_bundle, read_json, write_array, write_bundle,
                          write_json)
@@ -160,6 +160,30 @@ class TestTrainEval:
         lines = capsys.readouterr().out
         assert "class 1: dsc" in lines and "class 2: dsc" in lines
         assert (tmp_path / "eval" / "metrics.csv").exists()
+
+    def test_checkpoint_holding_a_key_bias_still_scores(self, tmp_path, capsys):
+        # bundles written while the attention module had a key bias hold
+        # tam.<slot>.b_k; the model ignores names it does not have
+        ds = gen_tiny(tmp_path, frames=3)
+        out = tmp_path / "run"
+        assert run("train", "--dataset", str(ds), "--out", str(out), "--config", "C4",
+                   "--t", "3", "--levels", "5", "--channels", "4,4,4,4,4", "--heads",
+                   "1", "--steps", "2", "--eval-every", "2", "--quiet") == 0
+        arrays, meta = read_bundle(out / "checkpoint_best")
+        old = dict(arrays, **{f"tam.{slot}.b_k": np.full(4, 0.5, np.float32)
+                              for slot in ("E4", "E5")})
+        write_bundle(tmp_path / "old", old, meta)
+
+        model, _, _ = load_checkpoint(tmp_path / "old")
+        got = model.to_arrays()
+        assert got.keys() == arrays.keys()
+        for name, arr in arrays.items():
+            assert got[name].tobytes() == arr.tobytes(), name
+        for ckpt, name in ((out / "checkpoint_best", "new"), (tmp_path / "old", "old")):
+            assert run("eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                       "--out", str(tmp_path / f"eval_{name}")) == 0
+        assert (tmp_path / "eval_old" / "metrics.json").read_bytes() == \
+            (tmp_path / "eval_new" / "metrics.json").read_bytes()
 
     def test_eval_oracle_needs_no_checkpoint(self, tmp_path, capsys):
         ds = gen_tiny(tmp_path)

@@ -80,7 +80,7 @@ class TestTamRows:
     def test_params_match_runtime_module(self):
         for c, d, heads in [(8, 8, 2), (16, 8, 1), (12, 24, 4)]:
             cfg = TamConfig(channels=c, d_embed=d, heads=heads)
-            params = TamParams.initialize(cfg, np.random.default_rng(0))
+            params = TamParams(cfg, np.random.default_rng(0))
             want = sum(r.params for r in tam_rows(cfg, (4, 4), 2))
             assert params.parameter_count() == want
 

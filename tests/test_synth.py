@@ -40,6 +40,13 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             SequenceSpec(dropout_target="sometimes", **SMALL)
 
+    def test_dropout_size_floor(self):
+        # 0 used to fall back to the default size and -3 to drop nothing
+        for bad in (0, -3):
+            with pytest.raises(ValidationError, match="dropout_size"):
+                SequenceSpec(dropout_size=bad, **SMALL)
+        assert SequenceSpec(dropout_size=1, **SMALL).dropout_size == 1
+
     def test_default_spacing_matches_rank(self):
         assert SequenceSpec(**SMALL).spacing == (1.0, 1.0)
         assert SequenceSpec(extents=(32, 32, 32)).spacing == (1.0, 1.0, 1.0)
@@ -343,7 +350,9 @@ class TestDatasetRejects:
     @pytest.mark.parametrize("key, value, match", [
         ("speckle", 0.5, "speckle"),
         ("spacing", ["a", "b"], "float"),
-        ("spacing", [None, 1.0], "float")])
+        ("spacing", [None, 1.0], "float"),
+        ("dropout_size", 0, "dropout_size"),
+        ("dropout_size", -3, "dropout_size")])
     def test_spec_refused(self, tmp_path, key, value, match):
         self._rejects(tmp_path, lambda root, case: case["spec"].update({key: value}),
                       match)

@@ -84,8 +84,7 @@ def test_every_traced_op_is_recorded():
 
 def small_tam_case():
     rng = np.random.default_rng(0)
-    params = TamParams.initialize(TamConfig(channels=4, d_embed=4, heads=2),
-                                  rng, dtype=np.float64)
+    params = TamParams(TamConfig(channels=4, d_embed=4, heads=2), rng, dtype=np.float64)
     frames = [Tensor(rng.uniform(-1.0, 1.0, (4, 2, 2)), requires_grad=True)
               for _ in range(2)]
     weights = [Tensor(rng.uniform(-1.0, 1.0, (4, 2, 2))) for _ in range(2)]
